@@ -8,8 +8,7 @@ Subcommands mirror the library's main entry points:
 * ``campaign [--max-bytecodes N] [--max-natives N] [--only NAME] [-j N]
   [--deadline S] [--journal PATH] [--resume] [--fail-fast]
   [--triage] [--confirm-runs N] [--repro-dir DIR] [--profile]
-  [--profile-json PATH] [--raw-explorer] [--cache-dir DIR]
-  [--no-cache]`` — the full Table 2/3 evaluation, with parallel
+  [--profile-json PATH] [--cache-dir DIR] [--no-cache]`` — the full Table 2/3 evaluation, with parallel
   sharding (work-stealing), wall-clock budgeting, checkpoint/resume,
   cache/solver profiling, the persistent cross-run result cache, and
   defect triage with standalone reproducer emission (operator guides:
@@ -237,7 +236,6 @@ def cmd_campaign(args) -> int:
         fault_describer_gaps=gaps,
         mutants=mutants,
         profile=profile,
-        raw_explorer=args.raw_explorer,
         **stitch_config_kwargs(args),
     )
     if args.resume and not args.journal:
@@ -695,12 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the whole campaign under this semantic mutant from "
              "the mutation registry (repeatable; see docs/MUTATION.md "
              "and `repro mutate --list`)",
-    )
-    campaign.add_argument(
-        "--raw-explorer", action="store_true",
-        help="explore with the from-the-root loop instead of the "
-             "prefix-sharing path tree (ablation; identical results, "
-             "see docs/EXPLORATION.md)",
     )
     campaign.add_argument(
         "--profile", action="store_true",

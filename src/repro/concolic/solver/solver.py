@@ -274,7 +274,10 @@ def _free_numeric_vars(problem: _Problem, assignment: _Assignment):
     """Free variable names with their bounds and sorts for the search."""
     context = problem.context
     free: dict = {}
-    for name in problem.int_vars:
+    # Sorted, not set order: insertion order here breaks ties in the
+    # most-constrained-first variable order, so a set walk would make
+    # the search (and its node count) depend on PYTHONHASHSEED.
+    for name in sorted(problem.int_vars):
         if name == "stack_size":
             free[name] = ("int", 0, context.max_stack)
         elif name == "temp_count":
@@ -651,7 +654,7 @@ def _finalize(problem: _Problem, assignment: _Assignment, uf: _UnionFind):
     """Assemble a Model from a successful assignment."""
     context = problem.context
     model = Model(context=context)
-    for name in set(assignment.kinds) | set(problem.oop_vars):
+    for name in sorted(set(assignment.kinds) | problem.oop_vars):
         rep = uf.find(name)
         if rep != name:
             model.aliases[name] = rep

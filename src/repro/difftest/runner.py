@@ -19,11 +19,12 @@ With a journal attached, completed cells are checkpointed to JSONL and
 expired deadline) picks up where it left off with identical aggregate
 counts.
 
-Two execution engines share one canonical plan (:func:`campaign_rows`):
-the in-process sequential engine below, and the process-pool engine in
-:mod:`repro.parallel` (``jobs > 1``), which shards the plan by
-instruction across OS worker processes and merges worker records back
-into plan order — aggregate reports are byte-identical across ``-j``
+Every campaign executes one canonical plan (:func:`campaign_rows`)
+through one cell loop, :func:`repro.parallel.worker.run_shard`, over
+per-instruction shards of the plan: in this process at ``-j 1``, in
+OS worker processes at ``-j N`` (:mod:`repro.parallel`).  Either way
+the cells' serialized records are folded into reports by one merge in
+plan order, so aggregate reports are byte-identical across ``-j``
 values.
 """
 
@@ -51,14 +52,14 @@ from repro.jit.register_allocating import RegisterAllocatingCogit
 from repro.jit.simple_stack import SimpleStackBasedCogit
 from repro.jit.stack_to_register import StackToRegisterCogit
 from repro.robustness.budgets import Deadline
-from repro.robustness.checkpoint import CampaignJournal, cell_key
+from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import (
     BudgetExhausted,
     CampaignError,
     classify_crash,
     guard,
 )
-from repro.robustness.quarantine import Quarantine, QuarantineEntry
+from repro.robustness.quarantine import Quarantine
 
 BYTECODE_COMPILERS = (
     SimpleStackBasedCogit,
@@ -152,8 +153,8 @@ class CampaignConfig:
     #: outlives it is SIGKILLed, the cell is quarantined as
     #: ``BudgetExhausted`` and the rest of its shard re-queued.  None
     #: derives a default from ``deadline_seconds`` (a quarter, floored
-    #: at 1s); with neither set, supervision is off.  The sequential
-    #: engine relies on cooperative deadline checks instead.
+    #: at 1s); with neither set, supervision is off.  At ``-j 1`` cells
+    #: run in-process and rely on cooperative deadline checks instead.
     cell_timeout_seconds: float | None = None
     #: Worker resource limits, applied via ``setrlimit`` in each forked
     #: child (``--worker-memory-mb`` -> RLIMIT_AS,
@@ -171,8 +172,8 @@ class CampaignConfig:
     #: Active mutant ids from the semantic mutation registry
     #: (``campaign --mutant`` / ``repro mutate``; see docs/MUTATION.md).
     #: Part of the config so the mutated semantics cross the fork
-    #: boundary with the pickled config and reach every engine: the
-    #: sequential runner, pool workers, quarantine retries, triage
+    #: boundary with the pickled config and reach every execution: the
+    #: in-process shard loop, pool workers, quarantine retries, triage
     #: trials and emitted reproducers all activate exactly this tuple.
     mutants: tuple = ()
     #: Collect cache/solver instrumentation (``campaign --profile``).
@@ -180,8 +181,9 @@ class CampaignConfig:
     #: byte-identical with it on or off.
     profile: bool = False
     #: Explore with the from-the-root loop instead of the prefix-sharing
-    #: path tree (``campaign --raw-explorer``); ablation only — results
-    #: are identical, the tree is just faster.
+    #: path tree; ablation only (the equivalence suites and the explorer
+    #: ablation benchmark) — results are identical, the tree is just
+    #: faster.
     raw_explorer: bool = False
     #: Stitched-corpus budget knobs (``campaign --stitch`` /
     #: ``repro stitch``; docs/STITCHING.md).  Part of the config so the
@@ -307,9 +309,9 @@ class ExperimentRow:
     """One report row of the campaign: a compiler over a spec list.
 
     The row sequence returned by :func:`campaign_rows` /
-    :func:`sequence_campaign_rows` is the *canonical plan*: the
-    sequential engine executes it in order, the parallel engine shards
-    it and merges results back into exactly this order, and ``--resume``
+    :func:`sequence_campaign_rows` is the *canonical plan*: it is
+    sharded by instruction for execution (in-process or on a pool),
+    results are merged back into exactly this order, and ``--resume``
     replays against it.  Determinism across ``-j`` values holds because
     every mode reports through the same plan.
     """
@@ -391,7 +393,7 @@ class CampaignResult(list):
         self.budget_exhausted = False
         self.resumed_cells = 0
         self.journal_path = None
-        #: Worker processes used (1 = in-process sequential engine).
+        #: Worker processes used (1 = the shard loop ran in-process).
         self.workers = 1
         #: Exploration-cache effectiveness over the whole run.
         self.cache_hits = 0
@@ -406,7 +408,7 @@ class CampaignResult(list):
         #: :class:`repro.triage.TriageReport` when the run was triaged
         #: (``campaign --triage``), else None.
         self.triage = None
-        #: Supervision bookkeeping (parallel engine): cells preempted
+        #: Supervision bookkeeping (worker pool): cells preempted
         #: at --cell-timeout and replacement workers spawned.
         self.preempted_cells = 0
         self.respawned_workers = 0
@@ -451,35 +453,6 @@ class ResumedCellResult:
         return [c for c in self.comparisons if c.is_difference]
 
 
-class _CampaignContext:
-    """Shared mutable state of one campaign run."""
-
-    def __init__(self, config: CampaignConfig, journal_path=None,
-                 resume: bool = False, cached=None, store=None,
-                 fingerprints=None):
-        self.config = config
-        self.deadline = Deadline(config.deadline_seconds)
-        self.quarantine = Quarantine()
-        self.explorations = ExplorationCache()
-        self.resume = resume
-        self.journal = CampaignJournal(journal_path) if journal_path else None
-        if self.journal is not None and not resume:
-            # A fresh (non-resuming) run must not append to stale state.
-            self.journal.path.unlink(missing_ok=True)
-        self.completed = (
-            self.journal.load() if (self.journal is not None and resume) else {}
-        )
-        self.resumed_cells = 0
-        self.budget_exhausted = False
-        #: Persistent result-store state (docs/INCREMENTAL.md): records
-        #: already served by fingerprint, the store for write-back, and
-        #: the plan's key -> fingerprint map.
-        self.cached = cached or {}
-        self.store = store
-        self.fingerprints = fingerprints or {}
-        self.cached_cells = 0
-
-
 def _backend_scope(config: CampaignConfig) -> str:
     return "+".join(
         getattr(backend, "name", str(backend)) for backend in config.backends
@@ -491,16 +464,17 @@ def execute_cell(config: CampaignConfig, deadline, spec, compiler_class,
     """Run one cell with crash isolation: (result, None) on success,
     (None, CampaignError) after the reduced-budget retry also failed.
 
-    This is the cell executor shared by both engines: the sequential
-    runner calls it in the main process, a parallel worker calls it
-    inside its own OS process.  A campaign-scoped
+    The shard loop (:func:`repro.parallel.worker.run_shard`) calls it
+    for every cell, in this process at ``-j 1`` or inside a worker
+    process; the triage lab calls it for confirmation trials.  A
+    campaign-scoped
     :class:`BudgetExhausted` (the shared deadline expiring) always
     propagates — stopping the run is the caller's decision.
 
     ``config.mutants`` is activated around the whole cell — both the
     full-budget attempt and the reduced-budget quarantine retry — so
     every execution path sees the same (possibly mutated) semantics
-    regardless of which engine called in.  Activation is
+    regardless of which process called in.  Activation is
     reference-counted (:mod:`repro.mutation.registry`), so a caller
     that already holds the mutants active (a pool worker forked under
     them, a triage pass) nests safely.
@@ -578,6 +552,7 @@ def _serialize_cell(key: str, result, quarantine_entry=None) -> dict:
         "kind": result.kind,
         "compiler": result.compiler,
         "interpreter_paths": result.exploration.path_count,
+        "explore_seconds": result.exploration.elapsed_seconds,
         "curated_paths": result.curated_path_count,
         "differing_paths": result.differing_paths,
         "test_seconds": result.test_seconds,
@@ -609,6 +584,7 @@ def _rebuild_cell(record: dict) -> ResumedCellResult:
             instruction=record["instruction"],
             kind=record["kind"],
             path_count=record["interpreter_paths"],
+            elapsed_seconds=record.get("explore_seconds", 0.0),
         ),
         curated_path_count=record["curated_paths"],
         comparisons=comparisons,
@@ -618,164 +594,125 @@ def _rebuild_cell(record: dict) -> ResumedCellResult:
     )
 
 
-def _run_experiment(ctx: _CampaignContext, row: ExperimentRow) -> CompilerReport:
-    """One report row, cell by cell, with checkpointing and quarantine."""
-    compiler_class = row.compiler_class
-    report = CompilerReport(compiler=row.label)
-    for spec in row.specs:
-        if ctx.budget_exhausted:
-            break
-        key = cell_key(row.experiment, compiler_class.name, spec.kind,
-                       spec.name)
-        record = ctx.completed.get(key)
-        if record is not None:
-            _accumulate(report, _rebuild_cell(record))
-            ctx.resumed_cells += 1
-            if record.get("quarantined"):
-                ctx.quarantine.add(
-                    QuarantineEntry.from_dict(record["quarantined"])
-                )
-            continue
-        cached = ctx.cached.get(key)
-        if cached is not None:
-            # Served from the persistent result store: rebuilt by the
-            # same machinery as a journal-resumed cell, so aggregate
-            # reports are byte-identical to a cold run.
-            _accumulate(report, _rebuild_cell(cached))
-            ctx.cached_cells += 1
-            continue
+def _run_in_process(config: CampaignConfig, rows, shards, records: dict,
+                    result: CampaignResult, *, deadline, journal, store,
+                    fingerprints: dict) -> None:
+    """``-j 1``: run the shard loop over *shards* in this process."""
+    from repro.parallel.worker import run_shard
+
+    def receive(message) -> None:
+        if message[0] == "cell":
+            records[message[1]] = message[2]
+        elif message[0] == "shard_done":
+            result.cache_hits += message[1]
+            result.cache_misses += message[2]
+
+    for shard in shards:
         try:
-            result, error = execute_cell(ctx.config, ctx.deadline, spec,
-                                         compiler_class, ctx.explorations)
-        except BudgetExhausted as exc:
-            if exc.scope == "campaign":
-                # Campaign deadline expired: stop cleanly; the journal
-                # allows this run to be resumed.
-                ctx.budget_exhausted = True
-                break
-            raise
-        entry = None
-        if error is not None:
-            entry = QuarantineEntry.from_error(
-                error,
-                instruction=spec.name,
-                kind=spec.kind,
-                compiler=compiler_class.name,
-                backend=_backend_scope(ctx.config),
-            )
-            ctx.quarantine.add(entry)
-            result = _crashed_result(spec, compiler_class, ctx.config, error)
-        _accumulate(report, result)
-        record = _serialize_cell(key, result, entry)
-        if ctx.journal is not None:
-            ctx.journal.append(record)
-        if (ctx.store is not None and error is None
-                and getattr(result, "retries", 0) == 0
-                and not getattr(result.exploration, "budget_exhausted",
-                                False)):
-            # Only clean first-attempt cells with a complete exploration
-            # enter the cross-run store; quarantines, retried cells and
-            # budget-truncated explorations always re-run.
-            fingerprint = ctx.fingerprints.get(key)
-            if fingerprint:
-                ctx.store.put(fingerprint, record)
-    return report
+            run_shard(shard, rows, config, deadline, journal, store,
+                      fingerprints, receive)
+        except BudgetExhausted:
+            # The campaign deadline expired (execute_cell lets only that
+            # scope through): stop cleanly; a journal makes the run
+            # resumable.
+            result.budget_exhausted = True
+            return
+    if perf.enabled():
+        from repro.concolic.solver.incremental import record_solver_gauges
 
-
-def _finish(result: CampaignResult, ctx: _CampaignContext,
-            journal_path) -> CampaignResult:
-    result.quarantine = ctx.quarantine
-    result.budget_exhausted = ctx.budget_exhausted
-    result.resumed_cells = ctx.resumed_cells
-    result.cached_cells = ctx.cached_cells
-    result.journal_path = journal_path
-    result.cache_hits = ctx.explorations.hits
-    result.cache_misses = ctx.explorations.misses
-    if ctx.journal is not None and ctx.resume:
-        result.journal_replay = ctx.journal.replay
-    return result
+        record_solver_gauges()
 
 
 def _run_rows(config: CampaignConfig, rows: list[ExperimentRow], *,
               journal_path, resume: bool, jobs: int,
               triage=None, cache_dir=None) -> CampaignResult:
-    """Dispatch a canonical plan to the sequential or parallel engine.
+    """Execute a canonical plan and fold it into reports.
 
-    With *cache_dir* set, the persistent result store is consulted
-    *before* engine dispatch: every plan cell is fingerprinted
-    (:mod:`repro.incremental.fingerprint`) and hits are injected as
-    pre-completed records into whichever engine runs — a fully-warm
-    parallel campaign therefore forks zero workers.
+    Every cell's record lands in one ``key -> record`` dict: first the
+    journal's (``resume``), then the persistent result store's hits
+    (*cache_dir*: every plan cell is fingerprinted by
+    :mod:`repro.incremental.fingerprint` and looked up here), then what
+    the remaining shards produce through the one cell loop,
+    :func:`repro.parallel.worker.run_shard` — in this process at
+    ``jobs == 1``, on a worker pool otherwise.
+    :func:`~repro.parallel.merge.merge_records` folds the dict in plan
+    order, so reports are byte-identical across ``-j``, ``--resume``
+    and the cache, and a fully-warm campaign executes (and forks)
+    nothing.
     """
+    from repro.parallel.merge import merge_records
+    from repro.parallel.shard import plan_cells, plan_shards
+
     if config.profile:
         perf.enable()
     store = None
-    fingerprints: dict = {}
-    cached_records: dict = {}
-    if cache_dir:
-        from repro.incremental import ResultStore, plan_fingerprints
+    try:
+        fingerprints: dict = {}
+        cached: dict = {}
+        if cache_dir:
+            from repro.incremental import ResultStore, plan_fingerprints
 
-        store = ResultStore(str(cache_dir))
-        store.load()
-        fingerprints = plan_fingerprints(rows, config)
-        for key, fingerprint in fingerprints.items():
-            cached = store.get(fingerprint, key)
-            if cached is not None:
-                cached_records[key] = cached
-    if jobs is None or jobs == 1:
-        try:
-            ctx = _CampaignContext(config, journal_path, resume,
-                                   cached=cached_records, store=store,
-                                   fingerprints=fingerprints)
-            result = CampaignResult()
-            for row in rows:
-                result.append(_run_experiment(ctx, row))
-            result = _finish(result, ctx, journal_path)
-            if config.profile:
-                result.perf = _capture_perf(result)
-        finally:
-            if config.profile:
-                perf.disable()
-    else:
-        from repro.parallel.pool import run_parallel_rows
+            store = ResultStore(str(cache_dir))
+            store.load()
+            fingerprints = plan_fingerprints(rows, config)
+            for key, fingerprint in fingerprints.items():
+                record = store.get(fingerprint, key)
+                if record is not None:
+                    cached[key] = record
+        journal = CampaignJournal(journal_path) if journal_path else None
+        if journal is not None and not resume:
+            # A fresh (non-resuming) run must not append to stale state.
+            journal.path.unlink(missing_ok=True)
+        records: dict = {}
+        result = CampaignResult()
+        result.journal_path = journal_path
+        if journal is not None and resume:
+            # Triage records share the journal under ``triage::`` keys;
+            # the planned-key filter keeps them out of cell resume.
+            planned = {cell.key for cell in plan_cells(rows)}
+            records = {key: record for key, record in journal.load().items()
+                       if key in planned}
+            result.resumed_cells = len(records)
+            result.journal_replay = journal.replay
+        for key, record in cached.items():
+            if key not in records:  # a journal replay wins over the cache
+                records[key] = record
+                result.cached_cells += 1
+        deadline = Deadline(config.deadline_seconds)
+        shards = plan_shards(rows, records)
+        if jobs is None or jobs == 1:
+            _run_in_process(config, rows, shards, records, result,
+                            deadline=deadline, journal=journal, store=store,
+                            fingerprints=fingerprints)
+        else:
+            from repro.parallel.pool import resolve_jobs, run_parallel_rows
 
-        try:
-            result = run_parallel_rows(config, rows, jobs=jobs,
-                                       journal_path=journal_path,
-                                       resume=resume, cached=cached_records,
-                                       fingerprints=fingerprints,
-                                       cache_dir=cache_dir)
-            if config.profile:
-                # Cache lookups happen in the parent; fold its counters
-                # into the workers' merged snapshot.
-                result.perf = perf.merge_snapshots(
-                    [result.perf or {}, perf.snapshot() or {}]
-                )
-        finally:
-            if config.profile:
-                perf.disable()
+            run_parallel_rows(config, rows, shards, records, result,
+                              jobs=resolve_jobs(jobs), deadline=deadline,
+                              journal=journal, cache_dir=cache_dir,
+                              fingerprints=fingerprints)
+        merge_records(rows, records, result)
+        if config.profile:
+            # Cache lookups (and, at -j 1, every cell) ran here; fold
+            # this process's counters into the workers' snapshots.
+            result.perf = perf.merge_snapshots(
+                [result.perf or {}, perf.snapshot() or {}]
+            )
+    finally:
+        if config.profile:
+            perf.disable()
     if store is not None:
         result.cache = store.stats
     if triage is not None:
         # Triage always runs in the parent process, over the serialized
-        # cell records both engines produce, so confirmation/shrinking
-        # are engine-independent and byte-identical across -j values.
+        # cell records every run produces, so confirmation/shrinking
+        # are byte-identical across -j values.
         from repro.triage import run_triage
 
         result.triage = run_triage(
             result, config, triage, journal_path=journal_path, resume=resume
         )
     return result
-
-
-def _capture_perf(result: CampaignResult) -> dict:
-    """Fold run-wide cache accounting into the recorder and snapshot it."""
-    from repro.concolic.solver.incremental import record_solver_gauges
-
-    perf.incr("explore.cache_hits", result.cache_hits)
-    perf.incr("explore.cache_misses", result.cache_misses)
-    record_solver_gauges()
-    return perf.snapshot()
 
 
 def run_campaign(config: CampaignConfig | None = None, *,
@@ -790,7 +727,7 @@ def run_campaign(config: CampaignConfig | None = None, *,
     ``resume=True`` replays them instead of re-running.  ``jobs > 1``
     shards the cell grid across that many worker processes
     (``jobs=0`` = one per CPU); aggregate reports are byte-identical
-    to a sequential run of the same config.  ``triage`` takes a
+    to a ``-j 1`` run of the same config.  ``triage`` takes a
     :class:`repro.triage.TriageConfig` to confirm/shrink/dedup the
     run's divergences and emit standalone reproducers
     (``result.triage`` carries the :class:`~repro.triage.TriageReport`).

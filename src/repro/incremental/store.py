@@ -4,10 +4,11 @@ An append-only JSONL file mapping semantic fingerprints to serialized
 cell records — the same dicts the campaign journal holds, so a cache
 hit is rebuilt by the exact machinery that rebuilds a resumed cell.
 
-Durability discipline is inherited from the journal
-(:mod:`repro.robustness.checkpoint`): one ``os.write`` on an
-``O_APPEND`` descriptor per record, a CRC-32 over the payload, version
-field per line — concurrent writers (parallel campaign workers, or two
+The file is a :class:`~repro.robustness.checkpoint.RecordLog`, the
+journal's durable-write mechanism: one ``os.write`` on an ``O_APPEND``
+descriptor plus ``fsync`` per record, a CRC-32 over the payload,
+version field per line, torn-tail healing and three-strikes write
+degradation — concurrent writers (parallel campaign workers, or two
 campaigns sharing one cache) never tear each other's records, and a
 torn line is skipped on load, not trusted and not fatal.
 
@@ -25,20 +26,12 @@ Degradation paths (the "never worse than cold" contract):
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import perf
 from repro.incremental.fingerprint import FINGERPRINT_VERSION
-from repro.robustness import chaos
-from repro.robustness.checkpoint import (
-    MAX_WRITE_FAILURES,
-    torn_tail,
-    decode_record,
-    encode_record,
-)
-from repro.robustness.faults import maybe_inject
+from repro.robustness.checkpoint import RecordLog, encode_record
 
 #: On-disk format version: bumped when the record shape or the
 #: fingerprint recipe changes.  Mismatched stores are never read.
@@ -102,13 +95,19 @@ class ResultStore:
     _records: dict = field(default_factory=dict)
     _by_key: dict = field(default_factory=dict)
     _loaded: bool = False
-    _write_failures: int = 0
-    _write_disabled: bool = False
-    _tail_checked: bool = False
+    _log: RecordLog = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._log = RecordLog(
+            Path(self.directory) / f"results-v{CACHE_VERSION}.jsonl",
+            CACHE_VERSION, "store.write_errors",
+            "result store writes disabled after {failures} consecutive "
+            "failures ({error}); continuing in-memory",
+        )
 
     @property
     def path(self) -> Path:
-        return Path(self.directory) / f"results-v{CACHE_VERSION}.jsonl"
+        return self._log.path
 
     # ------------------------------------------------------------------
     # load / lookup
@@ -125,27 +124,20 @@ class ResultStore:
         self._loaded = True
         path = self.path
         try:
-            if not path.exists():
-                return
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = decode_record(line, version=CACHE_VERSION)
-                    if record is None:
-                        self.stats.corrupt_lines += 1
-                        perf.incr("cache.corrupt_lines")
-                        continue
-                    fingerprint = record.get("fingerprint")
-                    cell = record.get("cell")
-                    if not fingerprint or not isinstance(cell, dict):
-                        self.stats.corrupt_lines += 1
-                        continue
-                    self._records[fingerprint] = cell
-                    key = cell.get("key")
-                    if key:
-                        self._by_key.setdefault(key, set()).add(fingerprint)
+            for record, _reason in self._log.read():
+                if record is None:
+                    self.stats.corrupt_lines += 1
+                    perf.incr("cache.corrupt_lines")
+                    continue
+                fingerprint = record.get("fingerprint")
+                cell = record.get("cell")
+                if not fingerprint or not isinstance(cell, dict):
+                    self.stats.corrupt_lines += 1
+                    continue
+                self._records[fingerprint] = cell
+                key = cell.get("key")
+                if key:
+                    self._by_key.setdefault(key, set()).add(fingerprint)
         except OSError as error:
             quarantined = path.with_suffix(path.suffix + ".corrupt")
             try:
@@ -192,48 +184,19 @@ class ResultStore:
     def put(self, fingerprint: str, record: dict) -> None:
         """Durably append one cell record under *fingerprint*.
 
-        Safe under concurrent writers (single O_APPEND write + CRC);
-        duplicate fingerprints resolve last-wins on load.  A torn tail
-        left by a killed writer is healed by prepending a newline, like
-        the journal.  Persistent write failure (disk full, I/O errors)
-        disables further writes for this run with one stderr warning —
+        Safe under concurrent writers; duplicate fingerprints resolve
+        last-wins on load.  Persistent write failure (disk full, I/O
+        errors) disables further writes for this run with one stderr
+        warning (see :class:`~repro.robustness.checkpoint.RecordLog`) —
         lookups keep working, the campaign is never worse than cold.
         """
-        if not fingerprint or self._write_disabled:
+        if not fingerprint:
             return
-        path = self.path
-        try:
-            maybe_inject("store")
-            data = encode_record(
-                {"fingerprint": fingerprint, "cell": record},
-                version=CACHE_VERSION,
-            )
-            path.parent.mkdir(parents=True, exist_ok=True)
-            chaos.write_point("store", path, data)
-            fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                if not self._tail_checked:
-                    self._tail_checked = True
-                    if torn_tail(fd):
-                        data = b"\n" + data
-                os.write(fd, data)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        except OSError as error:
-            self._write_failures += 1
-            perf.incr("store.write_errors")
-            if self._write_failures >= MAX_WRITE_FAILURES:
-                self._write_disabled = True
-                perf.incr("io.degraded")
-                self.stats.warning = (
-                    f"result store writes disabled after "
-                    f"{self._write_failures} consecutive failures "
-                    f"({error}); continuing in-memory"
-                )
-                print(f"warning: {self.stats.warning}", file=sys.stderr)
+        if not self._log.append({"fingerprint": fingerprint, "cell": record},
+                                "store"):
+            if self._log.warning is not None:
+                self.stats.warning = self._log.warning
             return
-        self._write_failures = 0
         self.stats.stored += 1
         perf.incr("cache.stored")
         if self._loaded:

@@ -49,16 +49,17 @@ Failure semantics, composing with the PR-2 robustness layer:
   (appends are single-``write`` and checksummed, safe under concurrent
   writers); the parent journals only the ``WorkerCrash`` cells it
   synthesizes.  ``--resume`` therefore works on a journal written by
-  any mix of parallel and sequential runs.
+  any mix of ``-j`` values.
 * **Result cache**: cache *lookups* happen in the parent before
-  planning (a fully-warm campaign forks zero workers); cache-missed
+  sharding (:func:`repro.difftest.runner._run_rows` seeds the record
+  dict; a fully-warm campaign forks zero workers); cache-missed
   shards carry their cells' fingerprints to the worker, which appends
   clean results to the store itself (:mod:`repro.incremental.store`).
 * **Triage**: the pool never triages.  ``--triage`` confirmation,
   shrinking and reproducer emission all run in the parent after the
   merge, over the same serialized cell records the workers shipped
   (:mod:`repro.triage`).  Journaled triage state rides in the same
-  file under ``triage::`` keys; the planned-key filter below keeps
+  file under ``triage::`` keys; the runner's planned-key filter keeps
   those records invisible to cell resume.
 """
 
@@ -76,8 +77,6 @@ from multiprocessing import connection
 
 from repro import perf
 from repro.robustness import errors as error_taxonomy
-from repro.robustness.budgets import Deadline
-from repro.robustness.checkpoint import CampaignJournal
 from repro.robustness.errors import (
     BudgetExhausted,
     CampaignError,
@@ -294,41 +293,27 @@ def _charge_lost_cell(entry: _Worker, rows, config, records: dict,
         pending.appendleft(remainder)
 
 
-def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
-                      resume: bool = False, cached=None, fingerprints=None,
-                      cache_dir=None):
-    """Execute a canonical plan on a worker pool; see module docstring.
+def run_parallel_rows(config, rows, shards, records: dict, result, *,
+                      jobs: int, deadline, journal, cache_dir,
+                      fingerprints: dict) -> None:
+    """Execute *shards* of a canonical plan on a worker pool; see the
+    module docstring.
 
-    *cached* maps cell keys to serialized records already served from
-    the result store (parent-side lookups); *fingerprints* maps cell
-    keys to semantic fingerprints so workers can append misses back to
-    the store at *cache_dir*.
+    Workers' records land in *records* (``key -> record``, already
+    seeded by the caller from the journal and the result store); the
+    pool's bookkeeping — deadline expiry, exploration-cache and
+    supervision counts, merged worker perf snapshots — is set on
+    *result*.  *fingerprints* maps cell keys to semantic fingerprints
+    so workers can append misses back to the store at *cache_dir*.
     """
-    from repro.parallel.merge import merge_records
-    from repro.parallel.shard import plan_cells, plan_shards
     from repro.parallel.worker import run_worker
 
-    jobs = resolve_jobs(jobs)
     plan = rows[0].experiment if rows else "main"
-    journal = CampaignJournal(journal_path) if journal_path else None
-    if journal is not None and not resume:
-        journal.path.unlink(missing_ok=True)
-    completed = journal.load() if (journal is not None and resume) else {}
-    planned = {cell.key for cell in plan_cells(rows)}
-    records = {key: rec for key, rec in completed.items() if key in planned}
-    resumed_cells = len(records)
-    cached_cells = 0
-    for key, record in (cached or {}).items():
-        if key in planned and key not in records:
-            records[key] = record
-            cached_cells += 1
-    fingerprints = dict(fingerprints or {})
-
-    deadline = Deadline(config.deadline_seconds)
+    journal_path = journal.path if journal is not None else None
     cell_timeout = effective_cell_timeout(config)
     backoff = RespawnBackoff()
     _reset_pipe_errors()
-    pending: deque = deque(plan_shards(rows, records))
+    pending: deque = deque(shards)
     workers: dict = {}  # process sentinel -> _Worker
     context = multiprocessing.get_context("fork")
     budget_exhausted = False
@@ -483,21 +468,12 @@ def run_parallel_rows(config, rows, *, jobs: int, journal_path=None,
         crash_class = getattr(error_taxonomy, error_class, CampaignError)
         raise crash_class(message)
 
-    result = merge_records(rows, records)
     result.budget_exhausted = budget_exhausted
-    result.resumed_cells = resumed_cells
-    result.cached_cells = cached_cells
-    result.journal_path = journal_path
     result.workers = jobs
     result.cache_hits = cache_hits
     result.cache_misses = cache_misses
     result.preempted_cells = preempted
     result.respawned_workers = respawned
     result.unexpected_io_errors = unexpected_io_errors()
-    result.journal_replay = journal.replay if (journal is not None
-                                               and resume) else None
-    if getattr(config, "profile", False):
-        from repro.perf import merge_snapshots
-
-        result.perf = merge_snapshots(perf_snapshots)
-    return result
+    if config.profile:
+        result.perf = perf.merge_snapshots(perf_snapshots)

@@ -1,14 +1,14 @@
 """The shard planner: instruction-granular slices of the cell grid.
 
-The unit of parallel work is a :class:`Shard` — *every* compiler cell
-of one instruction, in canonical plan order.  That granularity is what
-makes the exploration cache work across processes: concolic
-exploration depends only on the instruction, so a worker that owns all
-of an instruction's cells explores it once and reuses the path
-summaries for each compiler x backend cell, exactly like the
-sequential engine's campaign-wide cache.  Finer sharding (per cell)
-would re-explore per compiler; coarser (per report row) would
-serialize the grid again.
+The unit of work, in-process at ``-j 1`` and on the pool at ``-j N``,
+is a :class:`Shard` — *every* compiler cell of one instruction, in
+canonical plan order.  That granularity is what makes the exploration
+cache work: concolic exploration depends only on the instruction, so
+whoever runs a shard explores it once, reuses the path summaries for
+each compiler x backend cell, and frees them when the shard ends.
+Finer sharding (per cell) would re-explore per compiler; coarser (per
+report row) would serialize the grid again.  Shard order explores
+instructions in the order of their first appearance in the plan.
 
 Shards are plain data — ``(row_index, spec_index)`` coordinates into
 the canonical plan plus the names that form the journal key — so a
@@ -64,7 +64,7 @@ class Shard:
 
 
 def plan_cells(rows):
-    """Every cell of the canonical plan, row-major (sequential order)."""
+    """Every cell of the canonical plan, row-major (report order)."""
     for row_index, row in enumerate(rows):
         for spec_index, spec in enumerate(row.specs):
             yield Cell(

@@ -1,31 +1,34 @@
-"""The worker entrypoint: a persistent cell executor in a child process.
+"""The campaign's one cell loop, and the worker process that runs it.
+
+:func:`run_shard` executes one shard — every compiler cell of one
+instruction — cell by cell: execute (with the retry-then-quarantine
+policy of :func:`~repro.difftest.runner.execute_cell`), serialize,
+append to the journal, append clean cells to the result store, and
+stream the record.  It is the only cell loop: at ``-j 1`` the runner
+calls it in-process for every shard, at ``-j N`` each worker process
+calls it behind the pipe protocol below.  Either way the records land
+in one ``key -> record`` dict that :mod:`repro.parallel.merge` folds
+in plan order.
 
 A worker owns a full OS process, so `guard()`'s in-process crash
 isolation is upgraded to real process isolation: a segfault,
 ``os._exit`` or OOM kill takes out the worker, the parent notices the
 dead process and charges exactly the in-flight cell (see
-:mod:`repro.parallel.pool`).  Everything *recoverable* is still
-handled in-worker with the same retry/quarantine policy as the
-sequential engine, via the shared
-:func:`~repro.difftest.runner.execute_cell`.
+:mod:`repro.parallel.pool`).  Workers are *persistent pullers*: one
+process serves many shards, requesting the next one from the parent's
+dynamic queue whenever it goes idle (work stealing — see
+docs/INCREMENTAL.md).  Each shard gets a fresh
+:class:`ExplorationCache`, and merge-order determinism is untouched
+(the parent merges by plan order, never by arrival order).
 
-Since PR 9 workers are *persistent pullers*: one process serves many
-shards, requesting the next one from the parent's dynamic queue
-whenever it goes idle (work stealing — see docs/INCREMENTAL.md).  Each
-shard still gets a fresh :class:`ExplorationCache`, so per-instruction
-exploration sharing is identical to the old one-process-per-shard
-pool, and merge-order determinism is untouched (the parent merges by
-plan order, never by arrival order).
-
-The worker streams one message per completed cell back through its
-pipe and appends the same record to the shared journal itself —
+Workers append their records to the shared journal themselves —
 journal appends are concurrency-safe
 (:mod:`repro.robustness.checkpoint`), and worker-side appends mean a
 parent crash loses nothing a worker finished.  With a result cache
 attached (``cache_dir``), clean first-attempt cells are also appended
 to the persistent store under their semantic fingerprint
-(:mod:`repro.incremental.store` — same O_APPEND+CRC discipline, safe
-under concurrent workers).
+(:mod:`repro.incremental.store` — the same record log, safe under
+concurrent workers).
 
 Wire protocol, all plain picklable data.  Worker -> parent:
 
@@ -35,7 +38,7 @@ Wire protocol, all plain picklable data.  Worker -> parent:
   here; a cell whose record never follows within ``--cell-timeout``
   gets its worker SIGKILLed (:mod:`repro.robustness.supervise`);
 * ``("cell", key, record)`` — one completed (or quarantined) cell.
-  Since PR 5 the record's comparison entries also carry the triage
+  The record's comparison entries also carry the triage
   candidate payload (path constraint signatures, exit pairs, operand
   shapes, retry counts) — workers never confirm or shrink; the parent
   runs the whole ``--triage`` pipeline over these serialized records
@@ -108,7 +111,7 @@ def run_worker(conn, plan: str, config, remaining_seconds, journal_path,
     config; activating it here (reference-counted, so the per-cell
     activation inside ``execute_cell`` nests) makes every shard —
     including plan resolution and the shared exploration cache — run
-    under the same mutated semantics as a sequential campaign of the
+    under the same mutated semantics as a ``-j 1`` campaign of the
     same config (see docs/MUTATION.md).
     """
     from repro.mutation import activated
@@ -141,8 +144,16 @@ def _run_worker_activated(conn, plan: str, config, remaining_seconds,
             if message[0] == "stop":
                 break
             _tag, shard, fingerprints = message
-            if not _serve_shard(conn, rows, config, deadline, journal,
-                                store, shard, fingerprints):
+            try:
+                run_shard(shard, rows, config, deadline, journal, store,
+                          fingerprints, conn.send)
+            except BudgetExhausted as exc:
+                conn.send(("budget", str(exc)))
+                return
+            except CampaignError as exc:
+                # Only reachable with fail_fast: hand the classified
+                # error to the parent for re-raising.
+                conn.send(("fail", exc.error_class, str(exc)))
                 return
             conn.send(("next",))
         if perf.enabled():
@@ -156,29 +167,30 @@ def _run_worker_activated(conn, plan: str, config, remaining_seconds,
         conn.close()
 
 
-def _serve_shard(conn, rows, config, deadline, journal, store, shard,
-                 fingerprints) -> bool:
-    """One shard, cell by cell; False = fatal, the worker must exit."""
+def run_shard(shard, rows, config, deadline, journal, store, fingerprints,
+              send) -> None:
+    """Run one shard cell by cell: the campaign's only cell loop.
+
+    Each cell is executed (with the retry-then-quarantine policy of
+    :func:`execute_cell`), serialized, appended to the *journal*, and —
+    when it is a clean first attempt over a complete exploration, and
+    *fingerprints* knows its key — to the result *store*.  Progress
+    streams through *send* as the wire messages ``cell_start``,
+    ``cell`` and ``shard_done``: ``conn.send`` in a worker, a plain
+    function at ``-j 1``.  A campaign-scoped :class:`BudgetExhausted`
+    and a ``fail_fast`` :class:`CampaignError` propagate to the caller.
+    """
     # One cache per shard = one exploration per instruction, shared by
     # every compiler cell of the shard (the shard planner guarantees a
-    # shard never spans instructions).
+    # shard never spans instructions) and freed with it.
     cache = ExplorationCache()
     for cell in shard.cells:
         row = rows[cell.row_index]
         spec = row.specs[cell.spec_index]
         compiler_class = row.compiler_class
-        conn.send(("cell_start", cell.key))
-        try:
-            result, error = execute_cell(config, deadline, spec,
-                                         compiler_class, cache)
-        except BudgetExhausted as exc:
-            conn.send(("budget", str(exc)))
-            return False
-        except CampaignError as exc:
-            # Only reachable with fail_fast: hand the classified
-            # error to the parent for re-raising.
-            conn.send(("fail", exc.error_class, str(exc)))
-            return False
+        send(("cell_start", cell.key))
+        result, error = execute_cell(config, deadline, spec, compiler_class,
+                                     cache)
         entry = None
         if error is not None:
             entry = QuarantineEntry.from_error(
@@ -192,16 +204,15 @@ def _serve_shard(conn, rows, config, deadline, journal, store, shard,
         record = _serialize_cell(cell.key, result, entry)
         if journal is not None:
             journal.append(record)
-        if (store is not None and error is None
-                and getattr(result, "retries", 0) == 0
+        if (store is not None and error is None and result.retries == 0
                 and not getattr(result.exploration, "budget_exhausted",
                                 False)):
-            fingerprint = fingerprints.get(cell.key)
-            if fingerprint:
-                store.put(fingerprint, record)
-        conn.send(("cell", cell.key, record))
+            # Only clean first-attempt cells with a complete exploration
+            # enter the cross-run store; quarantines, retried cells and
+            # budget-truncated explorations always re-run.
+            store.put(fingerprints.get(cell.key), record)
+        send(("cell", cell.key, record))
     if perf.enabled():
         perf.incr("explore.cache_hits", cache.hits)
         perf.incr("explore.cache_misses", cache.misses)
-    conn.send(("shard_done", cache.hits, cache.misses))
-    return True
+    send(("shard_done", cache.hits, cache.misses))

@@ -7,8 +7,9 @@ are skipped, so an interrupted campaign (crash, ^C, expired deadline)
 picks up where it left off and still produces identical aggregate
 counts.
 
-The journal is safe under **concurrent writers** (the parallel engine's
-workers append directly):
+The journal is a :class:`RecordLog` — the one durable-write mechanism,
+shared with the persistent result store — and so is safe under
+**concurrent writers** (pool workers append directly):
 
 * each record is emitted as one ``os.write`` on an ``O_APPEND``
   descriptor, so lines from different processes never interleave;
@@ -16,7 +17,8 @@ workers append directly):
   a torn or corrupted line is skipped (not trusted, not fatal) and
   every later well-formed record is still replayed;
 * duplicate keys resolve last-wins, so a cell re-run after a partial
-  failure supersedes its earlier record.
+  failure supersedes its earlier record;
+* a torn tail left by a killed writer is healed on the next append.
 
 Replay health is not silent: :meth:`CampaignJournal.load` counts torn
 and foreign lines in :class:`JournalReplay` (surfaced in the campaign
@@ -134,77 +136,59 @@ class JournalReplay:
     skipped_lines: int = 0
 
 
-class CampaignJournal:
-    """One JSONL file journaling completed campaign cells."""
+class RecordLog:
+    """An append-only JSONL file of versioned, checksummed records.
 
-    def __init__(self, path) -> None:
+    The one durable-write mechanism behind both the campaign journal
+    and the persistent result store (:mod:`repro.incremental.store`):
+
+    * each record goes out as a single ``write(2)`` on an ``O_APPEND``
+      descriptor, followed by an ``fsync`` — concurrent appenders
+      (parallel workers, two campaigns sharing a cache) never tear each
+      other's lines;
+    * the first append of this instance heals a torn tail (the
+      unterminated line a SIGKILL mid-write leaves) by prepending a
+      newline, so the new record is never glued onto the fragment;
+    * every append passes the fault-injection and chaos hooks of its
+      *site* (``journal``, ``triage`` or ``store``) first;
+    * write failures degrade instead of crashing the campaign: the
+      failed record is lost, the *errors* perf counter is bumped, and
+      after :data:`MAX_WRITE_FAILURES` consecutive failures the log
+      disables itself with one stderr warning (*warning* is formatted
+      with ``path``, ``failures`` and ``error``).  A success resets the
+      count.
+    """
+
+    def __init__(self, path, version: int, errors: str,
+                 warning: str) -> None:
         self.path = Path(path)
-        self.replay = JournalReplay()
-        self.degraded = False
+        self.version = version
+        self.errors = errors
+        self._warning_template = warning
+        #: The degradation warning once the log has disabled itself
+        #: (None while it is still writing).
+        self.warning: str | None = None
         self._write_failures = 0
         self._tail_checked = False
 
-    # ------------------------------------------------------------------
-
-    def load(self) -> dict:
-        """key -> record for every well-formed journaled cell.
-
-        Malformed lines (torn writes, checksum mismatches) are skipped
-        individually: with concurrent writers a bad line is not
-        necessarily the last one.  Duplicate keys resolve last-wins.
-        What was skipped is counted in :attr:`replay` and the
-        ``journal.torn_lines`` / ``journal.skipped_lines`` perf
-        counters — replay health is reported, not silent.
-        """
-        self.replay = JournalReplay()
+    def read(self):
+        """``(record, reason)`` for each non-blank line, in file order
+        (see :func:`_decode_line`); nothing if the file is absent."""
         if not self.path.exists():
-            return {}
-        completed: dict = {}
+            return
         with self.path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
-                if not line:
-                    continue
-                record, reason = _decode_line(line, JOURNAL_VERSION)
-                if record is None:
-                    if reason == "torn":
-                        self.replay.torn_lines += 1
-                        perf.incr("journal.torn_lines")
-                    else:
-                        self.replay.skipped_lines += 1
-                        perf.incr("journal.skipped_lines")
-                    continue
-                key = record.get("key")
-                if not key:
-                    self.replay.skipped_lines += 1
-                    perf.incr("journal.skipped_lines")
-                    continue
-                completed[key] = record
-                self.replay.records += 1
-        return completed
+                if line:
+                    yield _decode_line(line, self.version)
 
-    def append(self, record: dict) -> None:
-        """Durably append one completed-cell record.
-
-        The entire line goes out in a single ``write(2)`` on an
-        ``O_APPEND`` descriptor, so concurrent appenders (parallel
-        workers) never tear each other's records.  If the file's last
-        line is unterminated — the tail a SIGKILL mid-write leaves
-        behind — the first append of this process prepends a newline so
-        the new record is never glued onto the torn fragment.
-
-        Write failures degrade instead of crashing the campaign: the
-        failed record is lost (it will simply re-run on resume), and
-        after :data:`MAX_WRITE_FAILURES` consecutive failures the
-        journal disables itself with one stderr warning.
-        """
-        if self.degraded:
-            return
-        key = str(record.get("key", ""))
-        site = "triage" if key.startswith(TRIAGE_KEY_PREFIX) else "journal"
+    def append(self, record: dict, site: str) -> bool:
+        """Durably append one record; True once it is on disk."""
+        if self.warning is not None:
+            return False
         try:
             maybe_inject(site)
-            data = encode_record(record)
+            data = encode_record(record, self.version)
             self.path.parent.mkdir(parents=True, exist_ok=True)
             chaos.write_point(site, self.path, data)
             fd = os.open(
@@ -221,18 +205,17 @@ class CampaignJournal:
                 os.close(fd)
         except OSError as error:
             self._write_failures += 1
-            perf.incr("journal.write_errors")
+            perf.incr(self.errors)
             if self._write_failures >= MAX_WRITE_FAILURES:
-                self.degraded = True
                 perf.incr("io.degraded")
-                print(
-                    f"warning: campaign journal {self.path} disabled after "
-                    f"{self._write_failures} consecutive write failures "
-                    f"({error}); continuing without checkpointing",
-                    file=sys.stderr,
+                self.warning = self._warning_template.format(
+                    path=self.path, failures=self._write_failures,
+                    error=error,
                 )
-            return
+                print(f"warning: {self.warning}", file=sys.stderr)
+            return False
         self._write_failures = 0
+        return True
 
 
 def torn_tail(fd: int) -> bool:
@@ -241,3 +224,49 @@ def torn_tail(fd: int) -> bool:
     if size == 0:
         return False
     return os.pread(fd, 1, size - 1) != b"\n"
+
+
+class CampaignJournal:
+    """One JSONL file journaling completed campaign cells."""
+
+    def __init__(self, path) -> None:
+        self.log = RecordLog(
+            path, JOURNAL_VERSION, "journal.write_errors",
+            "campaign journal {path} disabled after {failures} "
+            "consecutive write failures ({error}); continuing without "
+            "checkpointing",
+        )
+        self.path = self.log.path
+        self.replay = JournalReplay()
+
+    def load(self) -> dict:
+        """key -> record for every well-formed journaled cell.
+
+        Malformed lines (torn writes, checksum mismatches) are skipped
+        individually: with concurrent writers a bad line is not
+        necessarily the last one.  Duplicate keys resolve last-wins.
+        What was skipped is counted in :attr:`replay` and the
+        ``journal.torn_lines`` / ``journal.skipped_lines`` perf
+        counters — replay health is reported, not silent.
+        """
+        self.replay = JournalReplay()
+        completed: dict = {}
+        for record, reason in self.log.read():
+            if reason == "torn":
+                self.replay.torn_lines += 1
+                perf.incr("journal.torn_lines")
+            elif record is None or not record.get("key"):
+                self.replay.skipped_lines += 1
+                perf.incr("journal.skipped_lines")
+            else:
+                completed[record["key"]] = record
+                self.replay.records += 1
+        return completed
+
+    def append(self, record: dict) -> None:
+        """Durably append one completed-cell (or triage) record through
+        the :class:`RecordLog`; a failed write loses only this record,
+        which simply re-runs on resume."""
+        key = str(record.get("key", ""))
+        site = "triage" if key.startswith(TRIAGE_KEY_PREFIX) else "journal"
+        self.log.append(record, site)

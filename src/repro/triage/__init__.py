@@ -24,7 +24,7 @@ reaches the report.
    and re-executes it once at emission time as self-verification.
 
 Triage always runs in the *parent* process over the serialized cell
-records both engines produce (workers ship candidate payloads inside
+records every campaign produces (workers ship candidate payloads inside
 the existing ``("cell", ...)`` pipe records), so its output is
 byte-identical across ``-j`` values and across kill/``--resume``
 cycles.  Finished causes are persisted into the campaign journal under

@@ -2,7 +2,7 @@
 
 Runs in the parent process over the campaign's serialized verdicts
 (see :mod:`repro.triage.candidates`), so the pipeline is identical for
-the sequential engine, the parallel pool, and journal replays.
+``-j 1``, a worker pool, journal replays and cache hits.
 
 Persistence: each finished cause bucket is appended to the campaign
 journal under ``triage::<digest>`` (same encoding, checksumming and

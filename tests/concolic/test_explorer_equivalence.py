@@ -7,8 +7,8 @@ corpus) is that ``ConcolicExplorer.explore`` and
 path signatures *in order*, input models, exit conditions, every
 iteration-independent :class:`ExplorationResult` counter, and the
 curated path sets the differential tester ultimately consumes.  The
-campaign-level tests extend the same guarantee through both engines:
-``--raw-explorer`` reports are byte-identical to the default, at any
+campaign-level tests extend the same guarantee through the campaign:
+``raw_explorer`` reports are byte-identical to the default, at any
 worker count and across a journal resume.
 """
 

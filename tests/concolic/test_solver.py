@@ -232,3 +232,38 @@ class TestSoundness:
         model = solve(literals, context)
         assert model is not None
         assert lower <= model.kind_of("a").value <= lower + spread
+
+
+def test_witness_search_is_independent_of_the_hash_seed():
+    """The backtracking variable order must not follow ``set`` order:
+    under string hash randomization that order — and with it the
+    witness nodes the search visits — would change from process to
+    process.  primitiveFFIReadInt64 has tied variables whose set order
+    differs between hash seeds 0 and 2."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    script = (
+        "from repro import perf\n"
+        "from repro.difftest.runner import (\n"
+        "    CampaignConfig, explore_instruction, native_specs)\n"
+        "config = CampaignConfig(only=('primitiveFFIReadInt64',))\n"
+        "(spec,) = native_specs(config)\n"
+        "perf.enable()\n"
+        "explore_instruction(spec, config)\n"
+        "print(perf.snapshot()['counters']['solver.witness_nodes'])\n"
+    )
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    nodes = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True,
+                              env=env)
+        nodes.append(int(proc.stdout.strip()))
+    assert nodes[0] > 0
+    assert nodes[0] == nodes[1]

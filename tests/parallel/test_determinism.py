@@ -69,6 +69,38 @@ class TestByteIdenticalReports:
         assert cell_summaries(parallel) == cell_summaries(sequential)
 
 
+def exploration_times(result) -> list:
+    return [cell.exploration.elapsed_seconds
+            for report in result for cell in report.results]
+
+
+class TestExplorationTimesSurviveRecords:
+    """Figure 6 reads ``exploration.elapsed_seconds`` off every cell, and
+    every cell is rebuilt from its serialized record — so the time must
+    ride in the record at any ``-j``, through a resume and a cache hit."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_explored_instruction_is_timed(self, jobs):
+        times = exploration_times(run_campaign(CONFIG, jobs=jobs))
+        assert len(times) == 7
+        assert all(seconds > 0 for seconds in times)
+
+    def test_resumed_cells_keep_their_times(self, tmp_path):
+        journal = tmp_path / "journal.jsonl"
+        first = run_campaign(CONFIG, journal_path=journal)
+        resumed = run_campaign(CONFIG, journal_path=journal, resume=True)
+        assert resumed.resumed_cells == 7
+        assert all(seconds > 0 for seconds in exploration_times(resumed))
+        assert exploration_times(resumed) == exploration_times(first)
+
+    def test_cached_cells_keep_their_times(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        cold = run_campaign(CONFIG, cache_dir=cache_dir)
+        warm = run_campaign(CONFIG, cache_dir=cache_dir)
+        assert warm.cached_cells == 7
+        assert exploration_times(warm) == exploration_times(cold)
+
+
 class TestCrashIsolationParity:
     def test_cell_crash_quarantines_one_cell_in_both_modes(self, baseline):
         plan = FaultPlan(stage="compile", instruction=TARGET_INSTRUCTION,

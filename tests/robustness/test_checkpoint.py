@@ -1,11 +1,19 @@
 """The JSONL campaign journal: round-trip, torn writes, versioning,
-and safety under concurrent writers."""
+and safety under concurrent writers.
+
+The durability tests that hold for every record log — torn-tail
+healing here, write degradation in ``test_io_faults.py`` — run over
+both sinks, the journal and the result store, through :data:`SINKS`.
+"""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 
+import pytest
+
+from repro.incremental.store import ResultStore
 from repro.robustness.checkpoint import (
     JOURNAL_VERSION,
     CampaignJournal,
@@ -30,6 +38,51 @@ def record_for(key, **extra):
     }
     base.update(extra)
     return base
+
+
+class JournalSink:
+    """The campaign journal behind the common sink interface."""
+
+    site = "journal"
+
+    def __init__(self, directory) -> None:
+        self.journal = CampaignJournal(directory / "journal.jsonl")
+        self.path = self.journal.path
+
+    def append(self, key: str) -> None:
+        self.journal.append(record_for(key))
+
+    def load(self) -> dict:
+        return self.journal.load()
+
+    @property
+    def warning(self):
+        return self.journal.log.warning
+
+
+class StoreSink:
+    """The result store behind the common sink interface: one
+    fingerprint per cell key."""
+
+    site = "store"
+
+    def __init__(self, directory) -> None:
+        self.store = ResultStore(str(directory / "cache"))
+        self.path = self.store.path
+
+    def append(self, key: str) -> None:
+        self.store.put(f"fp-{key}", record_for(key))
+
+    def load(self) -> dict:
+        return {cell["key"]: cell for cell in self.store.records().values()}
+
+    @property
+    def warning(self):
+        return self.store.stats.warning
+
+
+#: Every durable sink; each instance is one process's view of the file.
+SINKS = {"journal": JournalSink, "store": StoreSink}
 
 
 class TestCellKey:
@@ -125,18 +178,20 @@ class TestJournalDurability:
 
 
 class TestTornTailHealing:
-    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+    @pytest.mark.parametrize("sink", SINKS.values(), ids=SINKS)
+    def test_append_after_torn_tail_starts_a_fresh_line(self, tmp_path,
+                                                        sink):
         """A SIGKILL mid-write leaves an unterminated tail; the next
         process's first append must not glue its record onto it."""
-        journal = CampaignJournal(tmp_path / "torn.jsonl")
-        journal.append(record_for("main::c::bytecode::a"))
-        with journal.path.open("a") as handle:
+        writer = sink(tmp_path)
+        writer.append("main::c::bytecode::a")
+        with writer.path.open("a") as handle:
             handle.write('{"key": "main::c::bytecode::b", "trunc')
 
-        healer = CampaignJournal(journal.path)  # a fresh process's view
-        healer.append(record_for("main::c::bytecode::c"))
+        healer = sink(tmp_path)  # a fresh process's view
+        healer.append("main::c::bytecode::c")
 
-        loaded = CampaignJournal(journal.path).load()
+        loaded = sink(tmp_path).load()
         assert set(loaded) == {
             "main::c::bytecode::a", "main::c::bytecode::c",
         }

@@ -16,11 +16,11 @@ import pytest
 from repro.difftest.report import table2
 from repro.difftest.runner import run_campaign
 from repro.incremental.store import ResultStore
-from repro.robustness.checkpoint import MAX_WRITE_FAILURES, CampaignJournal
+from repro.robustness.checkpoint import MAX_WRITE_FAILURES
 from repro.robustness.faults import FaultPlan, inject_faults, maybe_inject
 
 from tests.robustness.test_campaign_resilience import CONFIG
-from tests.robustness.test_checkpoint import record_for
+from tests.robustness.test_checkpoint import SINKS
 
 
 @pytest.fixture(scope="module")
@@ -50,35 +50,48 @@ class TestFaultKinds:
                 maybe_inject("simulate")
 
 
-class TestJournalDegradation:
+class TestSinkDegradation:
+    """The three-strikes policy of the shared record log, on every sink."""
+
+    @pytest.mark.parametrize("kind", ["io_error", "enospc"])
+    @pytest.mark.parametrize("sink", SINKS.values(), ids=SINKS)
     def test_persistent_failure_disables_after_threshold(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, sink, kind
     ):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        plan = FaultPlan(stage="journal", kind="io_error")
+        writer = sink(tmp_path)
+        plan = FaultPlan(stage=writer.site, kind=kind)
         with inject_faults(plan):
             for index in range(MAX_WRITE_FAILURES + 2):
-                journal.append(record_for(f"main::c::bytecode::i{index}"))
-        assert journal.degraded
-        assert not journal.path.exists()
+                writer.append(f"main::c::bytecode::i{index}")
+        assert writer.warning is not None
+        assert "failures" in writer.warning
+        assert not writer.path.exists()
         # Exactly one warning, at the moment of degradation.
         warnings = [line for line in capsys.readouterr().err.splitlines()
                     if "disabled after" in line]
         assert len(warnings) == 1
+        # Reads still work: the sink degrades, the run stays correct.
+        assert writer.load() == {}
 
-    def test_transient_failure_loses_only_its_record(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        plan = FaultPlan(stage="journal", kind="io_error",
+    @pytest.mark.parametrize("sink", SINKS.values(), ids=SINKS)
+    def test_transient_failure_loses_only_its_record(self, tmp_path, sink):
+        writer = sink(tmp_path)
+        plan = FaultPlan(stage=writer.site, kind="io_error",
                          times=MAX_WRITE_FAILURES - 1)
         with inject_faults(plan):
             for index in range(5):
-                journal.append(record_for(f"main::c::bytecode::i{index}"))
-        assert not journal.degraded
-        loaded = CampaignJournal(journal.path).load()
+                writer.append(f"main::c::bytecode::i{index}")
+        assert writer.warning is None
+        loaded = sink(tmp_path).load()
         # The first MAX_WRITE_FAILURES - 1 appends failed; the rest,
         # including everything after the counter reset, landed.
-        assert len(loaded) == 5 - (MAX_WRITE_FAILURES - 1)
+        assert set(loaded) == {
+            f"main::c::bytecode::i{index}"
+            for index in range(MAX_WRITE_FAILURES - 1, 5)
+        }
 
+
+class TestJournalDegradation:
     def test_campaign_report_is_unaffected(self, baseline, tmp_path,
                                            capsys):
         """A journal on broken storage never bends the results."""
@@ -107,33 +120,6 @@ class TestJournalDegradation:
 
 
 class TestStoreDegradation:
-    def test_persistent_enospc_disables_writes(self, tmp_path, capsys):
-        store = ResultStore(str(tmp_path / "cache"))
-        plan = FaultPlan(stage="store", kind="enospc")
-        with inject_faults(plan):
-            for index in range(MAX_WRITE_FAILURES + 2):
-                store.put(f"fp{index}", record_for(f"main::c::bytecode::{index}"))
-        assert store.stats.stored == 0
-        assert store.stats.warning is not None
-        assert "disk" in store.stats.warning or "failures" in store.stats.warning
-        assert not store.path.exists()
-        warnings = [line for line in capsys.readouterr().err.splitlines()
-                    if "disabled after" in line]
-        assert len(warnings) == 1
-        # Lookups still work: the store degrades, the run stays correct.
-        assert store.get("fp0") is None
-
-    def test_transient_store_fault_skips_one_record(self, tmp_path):
-        store = ResultStore(str(tmp_path / "cache"))
-        plan = FaultPlan(stage="store", kind="io_error", times=1)
-        with inject_faults(plan):
-            store.put("fp0", record_for("main::c::bytecode::a"))
-            store.put("fp1", record_for("main::c::bytecode::b"))
-        assert store.stats.stored == 1
-        assert store.stats.warning is None
-        fresh = ResultStore(str(tmp_path / "cache"))
-        assert set(fresh.records()) == {"fp1"}
-
     def test_campaign_with_dead_store_matches_baseline(
         self, baseline, tmp_path, capsys
     ):

@@ -6,7 +6,7 @@ parser so the guide cannot silently drift from ``src/repro/cli.py``:
 adding a campaign flag without documenting it fails here.
 
 ``docs/EXPLORATION.md`` makes the symmetric promise for the
-exploration engine: the ablation flag row, every profile counter and
+exploration engine: the ablation switch, every profile counter and
 gauge it names, and every module path it mentions must exist in the
 code.
 
@@ -148,9 +148,12 @@ def test_exploration_guide_introspection_is_not_vacuous():
 
 
 def test_exploration_guide_documents_the_ablation_flag():
-    """The `--raw-explorer` flag row must match the real CLI flag."""
-    assert "--raw-explorer" in campaign_flags()
-    assert "`--raw-explorer`" in exploration_text()
+    """The explorer ablation is a config switch, not an operator flag:
+    the campaign CLI has no `--raw-explorer` and the guide documents
+    `CampaignConfig.raw_explorer` instead."""
+    assert "--raw-explorer" not in campaign_flags()
+    assert "--raw-explorer" not in exploration_text()
+    assert "`CampaignConfig.raw_explorer`" in exploration_text()
 
 
 @pytest.mark.parametrize("name", exploration_counters())

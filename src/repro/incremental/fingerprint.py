@@ -7,8 +7,9 @@ records.  The ingredients (see docs/INCREMENTAL.md):
 * the **interpreter semantic closure** — the live byte-code handler
   (``Interpreter.bc_<family>``) or primitive function, plus every
   helper it reaches by name on the semantic namespaces (Interpreter,
-  ObjectMemory, Frame, the primitives and exits modules), hashed by
-  their compiled code objects;
+  ObjectMemory, Frame, the primitives and exits modules) or on the
+  defining module of the function that names it, hashed by their
+  compiled code objects;
 * the **compiler front-end closure** — the live ``gen_<family>`` /
   ``tpl_<native>`` generator resolved through the cell's compiler class
   MRO, the compilation driver and the operand-stack strategy methods,
@@ -28,7 +29,9 @@ its cache hit.  ``repro mutate`` therefore reuses baseline-phase
 results across mutants, and a mutated record can never be served to a
 baseline run (the fingerprints differ by construction).  The registry-
 wide property test in tests/incremental/test_invalidation.py enforces
-the no-over-/no-under-invalidation contract.
+the no-over-/no-under-invalidation contract relative to this walk;
+tests/incremental/test_stale_verdicts.py checks by running cells that
+a mutant which changes a verdict also changes the fingerprint.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from pathlib import Path
 
 #: Bumped when the fingerprint recipe itself changes; feeds the store's
 #: on-disk CACHE_VERSION so stale stores degrade to a cold run.
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 _RENDER_DEPTH_LIMIT = 8
 
@@ -161,29 +164,49 @@ def _walk_members(roots, namespaces, edge_memo=None) -> dict:
 
     Starting from the root functions, every global/attribute name a
     reachable function mentions is resolved against each ``(label,
-    namespace)`` in order; resolved functions are walked recursively,
-    resolved data attributes are recorded as-is.  Returns
+    namespace)`` in order and against the function's own defining
+    module (labelled with the module name) — a module-level helper
+    such as ``ffi_primitives._is_external_address`` is reached through
+    the globals of the function that calls it, whatever module that
+    is; resolved functions are walked recursively, resolved data
+    attributes are recorded as-is.  Returns
     ``{(label, name): live object}`` — the *live* attribute, so a
     monkey-patched member changes the map (and hence the fingerprint)
     while it is installed.
 
-    ``edge_memo`` caches each function's name resolutions across the
-    walks of one :func:`plan_fingerprints` pass (Interpreter.step's
-    sub-closure is identical for every spec); only valid while the
-    live patch state is fixed.
+    ``edge_memo`` caches each function's name resolutions, and the
+    closure of each root, across the walks of one
+    :func:`plan_fingerprints` pass (Interpreter.step's sub-closure is
+    identical for every spec); only valid while the live patch state is
+    fixed.  A key always resolves to the same object, so the closure of
+    several roots is the union of their closures.
     """
     if edge_memo is None:
         edge_memo = {}
     label_key = tuple(label for label, _namespace in namespaces)
     members: dict = {}
-    queue: list = []
-    scanned: set = set()
+    funcs: list = []
     for index, root in enumerate(roots):
         func = _function_of(root)
         if func is None:
             continue
         members[("root", f"{index}:{getattr(func, '__name__', '?')}")] = func
-        queue.append(func)
+        funcs.append(func)
+    for func in funcs:
+        closure_key = ("closure", id(func), label_key)
+        closure = edge_memo.get(closure_key)
+        if closure is None:
+            closure = edge_memo[closure_key] = _closure(
+                func, namespaces, label_key, edge_memo)
+        members.update(closure)
+    return members
+
+
+def _closure(root, namespaces, label_key, edge_memo) -> dict:
+    """``{(label, name): live object}`` reachable from one function."""
+    members: dict = {}
+    queue: list = [root]
+    scanned: set = set()
     while queue:
         func = queue.pop()
         if id(func) in scanned:
@@ -192,17 +215,7 @@ def _walk_members(roots, namespaces, edge_memo=None) -> dict:
         edge_key = (id(func), label_key)
         edges = edge_memo.get(edge_key)
         if edges is None:
-            edges = []
-            names: set = set()
-            _collect_names(func.__code__, names)
-            for name in sorted(names):
-                for label, namespace in namespaces:
-                    try:
-                        value = getattr(namespace, name)
-                    except AttributeError:
-                        continue
-                    edges.append(((label, name), value, _function_of(value)))
-            edge_memo[edge_key] = edges
+            edges = edge_memo[edge_key] = _edges(func, namespaces)
         for key, value, inner in edges:
             if key in members:
                 continue
@@ -210,6 +223,27 @@ def _walk_members(roots, namespaces, edge_memo=None) -> dict:
             if inner is not None:
                 queue.append(inner)
     return members
+
+
+def _edges(func, namespaces) -> list:
+    """``[((label, name), value, function or None)]``: every name *func*
+    mentions, resolved on each namespace and on its defining module."""
+    names: set = set()
+    _collect_names(func.__code__, names)
+    scopes = list(namespaces)
+    module = sys.modules.get(getattr(func, "__module__", None) or "")
+    if module is not None and all(
+            module is not namespace for _label, namespace in scopes):
+        scopes.append((module.__name__, module))
+    edges = []
+    for name in sorted(names):
+        for label, namespace in scopes:
+            try:
+                value = getattr(namespace, name)
+            except AttributeError:
+                continue
+            edges.append(((label, name), value, _function_of(value)))
+    return edges
 
 
 # ======================================================================
@@ -414,39 +448,66 @@ def _budget_signature(config) -> tuple:
 # public API
 
 
-def fingerprint_members(spec, compiler_class, _memo=None) -> dict:
+def _component_members(component: str, spec, compiler_class,
+                       edge_memo=None) -> dict:
+    """One of the cell's three member maps: ``interp`` (depends only on
+    the spec), ``comp`` (spec and compiler) or ``env`` (neither)."""
+    if component == "interp":
+        return _interpreter_members(spec, edge_memo)
+    if component == "comp":
+        return _compiler_members(spec, compiler_class, edge_memo)
+    return _environment_members()
+
+
+_COMPONENTS = ("interp", "comp", "env")
+
+
+def fingerprint_members(spec, compiler_class) -> dict:
     """``{(label, name): live object}`` — the cell's semantic closure.
 
     Exposed for the invalidation property test: a mutant must change a
     cell's fingerprint iff one of these resolved objects is the
     attribute it patched.
+    """
+    members = {}
+    for component in _COMPONENTS:
+        members.update(_component_members(component, spec, compiler_class))
+    return members
 
-    ``_memo`` shares the three member walks across the cells of one
-    :func:`plan_fingerprints` pass (the interpreter closure depends
-    only on the spec, not the compiler; the environment members on
-    neither) — valid only while the live patch state is fixed, which
-    the pass guarantees by fingerprinting under one ``activated()``.
+
+def _members_digest(members: dict, digests: dict) -> str:
+    """sha256 over a member map's sorted ``label.name=digest`` lines.
+
+    *digests* memoizes member digests by identity for one pass and
+    holds each object, so its id cannot be reused mid-pass (getattr can
+    return a fresh bound method); the pass runs under one activated()
+    so a given object's digest cannot change either.
+    """
+    lines = []
+    for (label, name) in sorted(members):
+        value = members[(label, name)]
+        entry = digests.get(id(value))
+        if entry is None:
+            entry = digests[id(value)] = (value, _member_digest(value))
+        lines.append(f"{label}.{name}={entry[1]}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
+    """The content-addressed identity of one campaign cell.
+
+    ``_memo`` shares work across the cells of one
+    :func:`plan_fingerprints` pass: name resolutions, root closures,
+    member digests and the digest of each member map (the interpreter
+    map is shared by every compiler of a spec, the environment map by
+    every cell) — valid only while the live patch state is fixed,
+    which the pass guarantees by fingerprinting under one
+    ``activated()``.
     """
     if _memo is None:
         _memo = {}
     edge_memo = _memo.setdefault("edges", {})
-    interp_key = ("interp", type(spec), spec.kind, spec.name)
-    if interp_key not in _memo:
-        _memo[interp_key] = _interpreter_members(spec, edge_memo)
-    comp_key = ("comp", type(spec), spec.kind, spec.name, compiler_class)
-    if comp_key not in _memo:
-        _memo[comp_key] = _compiler_members(spec, compiler_class, edge_memo)
-    if "env" not in _memo:
-        _memo["env"] = _environment_members()
-    members = {}
-    members.update(_memo[interp_key])
-    members.update(_memo[comp_key])
-    members.update(_memo["env"])
-    return members
-
-
-def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
-    """The content-addressed identity of one campaign cell."""
+    digests = _memo.setdefault("digests", {})
     parts = [
         f"fingerprint:{FINGERPRINT_VERSION}",
         f"python:{sys.version_info[0]}.{sys.version_info[1]}",
@@ -454,20 +515,21 @@ def cell_fingerprint(spec, compiler_class, config, _memo=None) -> str:
         "knobs:" + _render_value(_budget_signature(config)),
         "sources:" + _static_environment_hash(),
     ]
-    members = fingerprint_members(spec, compiler_class, _memo)
-    digests = None if _memo is None else _memo.setdefault("digests", {})
-    for (label, name) in sorted(members):
-        value = members[(label, name)]
-        if digests is None:
-            digest = _member_digest(value)
-        else:
-            # Keyed by identity: class attributes stay alive for the
-            # whole pass, and the pass runs under one activated() so a
-            # given object's digest cannot change mid-pass.
-            digest = digests.get(id(value))
-            if digest is None:
-                digest = digests[id(value)] = _member_digest(value)
-        parts.append(f"{label}.{name}={digest}")
+    keys = {
+        "interp": (type(spec), spec.kind, spec.name),
+        "comp": (type(spec), spec.kind, spec.name, compiler_class),
+        "env": (),
+    }
+    for component in _COMPONENTS:
+        memo_key = (component, *keys[component])
+        digest = _memo.get(memo_key)
+        if digest is None:
+            digest = _memo[memo_key] = _members_digest(
+                _component_members(component, spec, compiler_class,
+                                   edge_memo),
+                digests,
+            )
+        parts.append(f"{component}:{digest}")
     return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
 
 

@@ -21,10 +21,18 @@ Degradation paths (the "never worse than cold" contract):
 * **unreadable store** — quarantined by renaming to ``*.corrupt`` and
   the campaign proceeds cold with a warning, mirroring how a crashing
   cell is quarantined instead of killing a run.
+
+Each store byte is decoded once per process: a load keeps the decoded
+prefix of the file in a module-level :class:`_Index` and the next load
+(the next campaign of a recall sweep) reuses it if the file is the same
+inode and its consumed prefix still hashes to the recorded digest, then
+decodes only what was appended since.  Anything else — a ``gc``
+replace, ``clear``, truncation, an in-place rewrite — is a full read.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +94,126 @@ class CacheStats:
         }
 
 
+#: Bytes per read while a store file is hashed or decoded: the file is
+#: streamed, never held whole.
+_CHUNK = 1 << 20
+
+
+@dataclass(frozen=True)
+class _Index:
+    """The decoded newline-terminated prefix of one store file.
+
+    Shared by every load of that file in this process and never mutated
+    once published: a load copies ``records``/``by_key`` into its own
+    :class:`ResultStore`, and growing the index builds a new one.
+    """
+
+    #: ``(st_dev, st_ino)`` of the file it decodes.
+    ident: tuple = (0, 0)
+    #: Bytes consumed: everything up to and including the last newline.
+    offset: int = 0
+    #: sha256 of those bytes.
+    digest: bytes = hashlib.sha256().digest()
+    #: fingerprint -> cell record, last-wins.
+    records: dict = field(default_factory=dict)
+    #: cell key -> frozenset of fingerprints.
+    by_key: dict = field(default_factory=dict)
+    corrupt_lines: int = 0
+
+
+#: store path -> the :class:`_Index` of its last load in this process.
+_INDEXES: dict = {}
+
+
+def _add(records: dict, by_key: dict, record: dict | None) -> bool:
+    """Insert one decoded store line; False if it is corrupt."""
+    if record is None:
+        return False
+    fingerprint = record.get("fingerprint")
+    cell = record.get("cell")
+    if not fingerprint or not isinstance(cell, dict):
+        return False
+    records[fingerprint] = cell
+    key = cell.get("key")
+    if key:
+        by_key[key] = by_key.get(key, frozenset()) | {fingerprint}
+    return True
+
+
+def _hash_prefix(handle, length: int):
+    """sha256 state over the first *length* bytes of *handle*."""
+    hasher = hashlib.sha256()
+    handle.seek(0)
+    while length > 0:
+        chunk = handle.read(min(_CHUNK, length))
+        if not chunk:
+            break
+        hasher.update(chunk)
+        length -= len(chunk)
+    return hasher
+
+
+def _extend(handle, index: _Index, hasher, decode) -> tuple:
+    """``(index, tail)``: *index* grown by every newline-terminated line
+    after its offset (*handle* is positioned there and *hasher* covers
+    the bytes before it), and the unterminated tail's ``(record,
+    reason)`` — or None — which is decoded but left unconsumed, so a
+    line a concurrent writer is still writing is read again next time."""
+    records = by_key = None
+    corrupt = index.corrupt_lines
+    offset = index.offset
+    carry = b""
+    while True:
+        chunk = handle.read(_CHUNK)
+        if not chunk:
+            break
+        data = carry + chunk
+        end = data.rfind(b"\n") + 1
+        carry = data[end:]
+        if not end:
+            continue
+        if records is None:
+            records, by_key = dict(index.records), dict(index.by_key)
+        hasher.update(data[:end])
+        offset += end
+        for line in data[:end].split(b"\n"):
+            line = line.strip()
+            if line and not _add(records, by_key, decode(line)[0]):
+                corrupt += 1
+    if records is not None:
+        index = _Index(index.ident, offset, hasher.digest(), records,
+                       by_key, corrupt)
+    carry = carry.strip()
+    return index, (decode(carry) if carry else None)
+
+
+def _scan(path: Path, decode) -> tuple:
+    """``(index, tail)`` of the store file at *path* (see
+    :func:`_extend`), reusing and publishing the shared index."""
+    name = str(path)
+    try:
+        handle = path.open("rb")
+    except FileNotFoundError:
+        _INDEXES.pop(name, None)
+        return _Index(), None
+    with handle:
+        stat = os.fstat(handle.fileno())
+        ident = (stat.st_dev, stat.st_ino)
+        index = _INDEXES.get(name)
+        hasher = None
+        if index is not None and index.ident == ident \
+                and stat.st_size >= index.offset:
+            hasher = _hash_prefix(handle, index.offset)
+            if hasher.digest() != index.digest:
+                hasher = None
+        if hasher is None:
+            index, hasher = _Index(ident), hashlib.sha256()
+            handle.seek(0)
+        index, tail = _extend(handle, index, hasher, decode)
+    _INDEXES[name] = index
+    return index, tail
+
+
 @dataclass
 class ResultStore:
     """Fingerprint-addressed store of serialized cell records."""
@@ -124,33 +252,29 @@ class ResultStore:
         self._loaded = True
         path = self.path
         try:
-            for record, _reason in self._log.read():
-                if record is None:
-                    self.stats.corrupt_lines += 1
-                    perf.incr("cache.corrupt_lines")
-                    continue
-                fingerprint = record.get("fingerprint")
-                cell = record.get("cell")
-                if not fingerprint or not isinstance(cell, dict):
-                    self.stats.corrupt_lines += 1
-                    continue
-                self._records[fingerprint] = cell
-                key = cell.get("key")
-                if key:
-                    self._by_key.setdefault(key, set()).add(fingerprint)
+            index, tail = _scan(path, self._log.decode)
         except OSError as error:
+            _INDEXES.pop(str(path), None)
             quarantined = path.with_suffix(path.suffix + ".corrupt")
             try:
                 path.rename(quarantined)
                 where = f"quarantined to {quarantined.name}"
             except OSError:
                 where = "left in place"
-            self._records.clear()
-            self._by_key.clear()
             self.stats.warning = (
                 f"result cache unreadable ({error}); {where}, "
                 "continuing with a cold run"
             )
+            return
+        self._records = dict(index.records)
+        self._by_key = dict(index.by_key)
+        corrupt = index.corrupt_lines
+        if tail is not None and not _add(self._records, self._by_key,
+                                         tail[0]):
+            corrupt += 1
+        if corrupt:
+            self.stats.corrupt_lines += corrupt
+            perf.incr("cache.corrupt_lines", corrupt)
         self.stats.entries = len(self._records)
 
     def get(self, fingerprint: str, key: str | None = None) -> dict | None:
@@ -200,10 +324,8 @@ class ResultStore:
         self.stats.stored += 1
         perf.incr("cache.stored")
         if self._loaded:
-            self._records[fingerprint] = dict(record)
-            key = record.get("key")
-            if key:
-                self._by_key.setdefault(key, set()).add(fingerprint)
+            _add(self._records, self._by_key,
+                 {"fingerprint": fingerprint, "cell": dict(record)})
 
     # ------------------------------------------------------------------
     # inspection / GC (the `repro cache` subcommand)

@@ -44,7 +44,7 @@ from repro.robustness.faults import maybe_inject
 
 #: Bumped when the record shape changes; mismatched journals are ignored
 #: rather than mis-replayed.
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: Consecutive write failures after which a sink (journal or result
 #: store) disables itself for the rest of the run.  Transient errors
@@ -79,45 +79,70 @@ def triage_records(completed: dict) -> dict:
     }
 
 
-def _checksum(payload: str) -> int:
-    return zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF
+#: Every line opens with this header: the CRC-32 of the rest of the
+#: line, as eight hex digits in a JSON string, so the line stays one
+#: JSON object and the checksum covers the payload bytes exactly as
+#: written — verifying it needs no re-encoding.
+_CRC_OPEN = b'{"crc": "'
+_CRC_CLOSE = b'", '
+_HEADER_LEN = len(_CRC_OPEN) + 8 + len(_CRC_CLOSE)
 
 
 def encode_record(record: dict, version: int = JOURNAL_VERSION) -> bytes:
     """One journal line: versioned, checksummed, newline-terminated.
 
-    The same discipline serves the campaign journal and the persistent
-    result store (:mod:`repro.incremental.store`), each under its own
-    *version* namespace.
+    ``{"crc": "<crc32 of the payload>", <payload>`` where the payload is
+    the record's ``json.dumps(sort_keys=True)`` without its opening
+    brace.  The same discipline serves the campaign journal and the
+    persistent result store (:mod:`repro.incremental.store`), each
+    under its own *version* namespace.
     """
     record = dict(record, version=version)
-    payload = json.dumps(record, sort_keys=True)
-    record["crc"] = _checksum(payload)
-    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+    record.pop("crc", None)
+    payload = json.dumps(record, sort_keys=True)[1:].encode("utf-8")
+    crc = b"%08x" % (zlib.crc32(payload) & 0xFFFFFFFF)
+    return _CRC_OPEN + crc + _CRC_CLOSE + payload + b"\n"
 
 
-def _decode_line(line: str, version: int) -> tuple[dict | None, str]:
-    """(record, reason) for one journal line.
+def _checksum_ok(line: bytes) -> bool:
+    """True if the CRC in *line*'s header matches its payload."""
+    if line[_HEADER_LEN - len(_CRC_CLOSE):_HEADER_LEN] != _CRC_CLOSE:
+        return False
+    crc = b"%08x" % (zlib.crc32(line[_HEADER_LEN:]) & 0xFFFFFFFF)
+    return line[len(_CRC_OPEN):len(_CRC_OPEN) + 8] == crc
+
+
+def _decode_line(line, version: int) -> tuple[dict | None, str]:
+    """(record, reason) for one journal line (``bytes`` or ``str``,
+    without its newline): one ``crc32`` and one ``json.loads``.
 
     Reasons: ``"ok"`` — replayable; ``"torn"`` — undecodable (a torn
     write or bit rot: unparseable JSON or a checksum mismatch);
-    ``"foreign"`` — intact but not ours (another format version).
+    ``"foreign"`` — intact but not ours (another format version).  A
+    line without the CRC header (written before the header existed) is
+    foreign if it parses and names another version, torn otherwise.
     """
+    if isinstance(line, str):
+        line = line.encode("utf-8")
+    headed = line.startswith(_CRC_OPEN)
+    if headed and not _checksum_ok(line):
+        return None, "torn"
     try:
         record = json.loads(line)
-    except json.JSONDecodeError:
+    except ValueError:  # bad JSON or bad UTF-8
         return None, "torn"
     if not isinstance(record, dict):
         return None, "torn"
-    crc = record.pop("crc", None)
-    if crc != _checksum(json.dumps(record, sort_keys=True)):
-        return None, "torn"
+    record.pop("crc", None)
     if record.get("version") != version:
         return None, "foreign"
+    if not headed:
+        return None, "torn"
     return record, "ok"
 
 
-def decode_record(line: str, version: int = JOURNAL_VERSION) -> dict | None:
+def decode_record(line: str | bytes,
+                  version: int = JOURNAL_VERSION) -> dict | None:
     """Parse and verify one journal line; None if torn/corrupt/foreign."""
     record, _reason = _decode_line(line, version)
     return record
@@ -176,11 +201,15 @@ class RecordLog:
         (see :func:`_decode_line`); nothing if the file is absent."""
         if not self.path.exists():
             return
-        with self.path.open("r", encoding="utf-8") as handle:
+        with self.path.open("rb") as handle:
             for line in handle:
                 line = line.strip()
                 if line:
-                    yield _decode_line(line, self.version)
+                    yield self.decode(line)
+
+    def decode(self, line: bytes) -> tuple[dict | None, str]:
+        """``(record, reason)`` for one stripped line of this log."""
+        return _decode_line(line, self.version)
 
     def append(self, record: dict, site: str) -> bool:
         """Durably append one record; True once it is on disk."""

@@ -20,6 +20,8 @@ should touch — the property holds for future mutants automatically.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.difftest.runner import (
@@ -39,7 +41,7 @@ STITCH_CONFIG = CampaignConfig(backends=(X86Backend,), stitch_fragments=6,
 def _candidate_namespaces():
     """Every namespace a mutant could patch (superset of the ones the
     fingerprint walks)."""
-    from repro.interpreter import exits, primitives
+    from repro.interpreter import exits, ffi_primitives, primitives
     from repro.interpreter.frame import Frame
     from repro.interpreter.interpreter import Interpreter
     from repro.jit.compiler import BytecodeCogit
@@ -51,12 +53,17 @@ def _candidate_namespaces():
     from repro.memory.object_memory import ObjectMemory
 
     namespaces = [Interpreter, ObjectMemory, Frame, primitives, exits,
-                  MachineSimulator, NativeMethodCompiler]
+                  ffi_primitives, MachineSimulator, NativeMethodCompiler]
     for compiler in (SimpleStackBasedCogit, StackToRegisterCogit,
                      RegisterAllocatingCogit, BytecodeCogit):
         for base in compiler.__mro__:
             if base is not object and base not in namespaces:
                 namespaces.append(base)
+    # The walk also resolves names on each function's defining module.
+    for namespace in list(namespaces):
+        module = sys.modules.get(getattr(namespace, "__module__", ""))
+        if module is not None and module not in namespaces:
+            namespaces.append(module)
     return namespaces
 
 
@@ -73,6 +80,18 @@ def patched_members(mutant) -> dict:
                 if old.get(name) is not new.get(name):
                     patched[(ns, name)] = old.get(name)
     return patched
+
+
+def _is_patched(label, name, value, patched, originals) -> bool:
+    """Whether closure member ``(label, name) = value`` is a patched
+    original.  A member resolved on a function's defining module is
+    labelled with the module's dotted name and is patched only if that
+    module's attribute was: an equal interned constant elsewhere
+    (``native_templates.TMP_B`` vs ``BytecodeCogit.TMP_B``) is not."""
+    if (name, id(value)) not in originals:
+        return False
+    module = sys.modules.get(label) if "." in label else None
+    return module is None or patched.get((module, name), None) is value
 
 
 def expected_invalidations(rows, patched) -> set:
@@ -94,7 +113,7 @@ def expected_invalidations(rows, patched) -> set:
                     # Root entries are keyed "index:funcname" so two
                     # same-named roots cannot collide.
                     name = name.split(":", 1)[1]
-                if (name, id(value)) in originals:
+                if _is_patched(label, name, value, patched, originals):
                     hit = True
                     break
             memo[memo_key] = hit

@@ -6,11 +6,20 @@ classification, shrunken constraints, minimal model) plus a call into
 dict keys, fixed layout — so re-emitting the same cause (for example
 after ``--resume``) writes byte-identical files.
 
-Self-verification runs the freshly written file once in a subprocess
-with the ``repro`` package on ``PYTHONPATH`` and requires the script's
-divergence-asserted exit status (1).  A reproducer that does not fail
-standalone is reported with ``self-check: NOT asserted`` rather than
-silently trusted.
+Self-verification runs the freshly written file once in a fresh
+``python`` process with the ``repro`` package on ``PYTHONPATH`` and
+requires the script's divergence-asserted exit status (1).  A
+reproducer that does not fail standalone is reported with
+``self-check: NOT asserted`` rather than silently trusted.  It is split
+into :func:`spawn_verifier`, which starts the process and returns at
+once, and :func:`self_verify`, which collects its verdict, so the
+triage engine confirms and shrinks the next cause while earlier
+reproducers are checked (see :mod:`repro.triage.engine`).  The timeout
+runs from spawn; a verifier that exceeds it is killed and reaped, and
+it counts as not asserted, like one that cannot be started.  The check
+is always the file as written, run in a new interpreter — never in
+process or in a fork of the (possibly mutant-activated) parent that
+skips the ``exec``.
 """
 
 from __future__ import annotations
@@ -18,7 +27,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.robustness import chaos
 
@@ -105,12 +116,21 @@ def emit_reproducer(cause, repro_dir, config) -> Path:
     return path
 
 
-def self_verify(path, timeout: float = 300.0) -> bool:
-    """Run an emitted reproducer once; True iff it asserts the divergence.
+class Verifier(NamedTuple):
+    """One reproducer's self-check in flight."""
+
+    #: The running ``python`` process; None when it could not start.
+    process: subprocess.Popen | None
+    #: ``time.monotonic()`` after which the check counts as failed.
+    deadline: float
+
+
+def spawn_verifier(path, timeout: float = 300.0) -> Verifier:
+    """Start running an emitted reproducer in a fresh process.
 
     The subprocess gets the currently imported ``repro`` package on
     ``PYTHONPATH``, so verification works regardless of how the parent
-    was launched.
+    was launched.  *timeout* counts from now, not from collection.
     """
     import repro
 
@@ -120,14 +140,38 @@ def self_verify(path, timeout: float = 300.0) -> bool:
     env["PYTHONPATH"] = (
         src_dir if not existing else src_dir + os.pathsep + existing
     )
+    deadline = time.monotonic() + timeout
     try:
-        proc = subprocess.run(
+        process = subprocess.Popen(
             [sys.executable, str(path)],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
-            timeout=timeout,
         )
-    except (OSError, subprocess.TimeoutExpired):
+    except OSError:
+        return Verifier(None, deadline)
+    return Verifier(process, deadline)
+
+
+def self_verify(verifier: Verifier) -> bool:
+    """Wait for a spawned reproducer; True iff it asserts the divergence."""
+    process = verifier.process
+    if process is None:
         return False
-    return proc.returncode == 1
+    try:
+        returncode = process.wait(
+            timeout=max(0.0, verifier.deadline - time.monotonic())
+        )
+    except subprocess.TimeoutExpired:
+        abandon(verifier)
+        return False
+    return returncode == 1
+
+
+def abandon(verifier: Verifier) -> None:
+    """Kill a verifier that is still running and reap it."""
+    process = verifier.process
+    if process is None:
+        return
+    process.kill()  # a no-op once the process has been reaped
+    process.wait()

@@ -6,14 +6,19 @@ Runs in the parent process over the campaign's serialized verdicts
 
 Persistence: each finished cause bucket is appended to the campaign
 journal under ``triage::<digest>`` (same encoding, checksumming and
-last-wins semantics as cell records).  A ``--resume`` run reuses those
-records — confirmation counts, shrunken shapes, verification verdicts
-— instead of re-confirming and re-shrinking, and re-emits reproducer
-files byte-identically from the journaled data.
+last-wins semantics as cell records), in bucket order and only once
+the cause's reproducer self-check has its verdict — the checks run in
+their own processes while the next bucket is confirmed and shrunk (see
+:class:`_Verdicts`).  A ``--resume`` run reuses those records —
+confirmation counts, shrunken shapes, verification verdicts — instead
+of re-confirming and re-shrinking, and re-emits reproducer files
+byte-identically from the journaled data.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.robustness.checkpoint import (
@@ -26,7 +31,12 @@ from repro.triage.candidates import (
     collect_crashes,
     collect_divergences,
 )
-from repro.triage.emit import emit_reproducer, self_verify
+from repro.triage.emit import (
+    abandon,
+    emit_reproducer,
+    self_verify,
+    spawn_verifier,
+)
 from repro.triage.lab import TriageLab, matches
 from repro.triage.shrink import shrink_candidate
 from repro.triage.signature import DefectSignature
@@ -282,6 +292,78 @@ def run_triage(result, config, triage: TriageConfig, *,
                                      resume=resume)
 
 
+def verifier_width() -> int:
+    """Reproducer self-checks that run next to the parent's work.
+
+    One CPU stays with the parent's confirm/shrink, so the parent plus
+    its verifiers never outnumber the CPUs.  The CPU count is the one
+    ``-j 0`` resolves to (``repro.parallel.pool.resolve_jobs``), read
+    here without importing the pool and its ``multiprocessing``.
+    """
+    return max(1, (os.cpu_count() or 1) - 1)
+
+
+class _Verdicts:
+    """Fresh divergence causes awaiting their verdict, in bucket order.
+
+    Each reproducer's self-check runs in its own process while the
+    parent confirms and shrinks the next bucket: at most *width* of
+    them next to that work, one more while the parent blocks on the
+    oldest verdict.  A cause is journaled only once its verdict is in, and causes
+    are journaled in the order they were added, so ``--resume`` never
+    sees a cause without ``verified``.  Leaving the ``with`` block kills
+    and reaps every verifier still in flight.
+    """
+
+    def __init__(self, journal, width: int):
+        self.journal = journal
+        self.width = width
+        #: ``(digest, cause, verifier or None)``, oldest first.
+        self.pending: deque = deque()
+        self.in_flight = 0
+
+    def add(self, digest, cause, path=None) -> None:
+        """Queue *cause*, self-checking the reproducer at *path* if any."""
+        verifier = None
+        if path is not None:
+            verifier = spawn_verifier(path)
+            self.in_flight += 1
+        self.pending.append((digest, cause, verifier))
+        # The parent is idle while it blocks on a verdict, so the new
+        # verifier may start before the oldest is collected; the parent
+        # only goes back to confirm/shrink next to *width* of them.
+        while self.pending and (self.in_flight > self.width
+                                or self.pending[0][2] is None):
+            self._settle_oldest()
+
+    def drain(self) -> None:
+        while self.pending:
+            self._settle_oldest()
+
+    def _settle_oldest(self) -> None:
+        # Popped only once settled, so an interrupted wait still leaves
+        # the verifier for __exit__ to reap.
+        digest, cause, verifier = self.pending[0]
+        if verifier is not None:
+            cause.verified = self_verify(verifier)
+            self.in_flight -= 1
+        if self.journal is not None:
+            self.journal.append({
+                "key": triage_key(digest),
+                "crash": False,
+                "cause": cause.to_dict(),
+            })
+        self.pending.popleft()
+
+    def __enter__(self) -> "_Verdicts":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        for _digest, _cause, verifier in self.pending:
+            if verifier is not None:
+                abandon(verifier)
+
+
 def _run_triage_activated(result, config, triage: TriageConfig, *,
                           journal_path=None,
                           resume: bool = False) -> TriageReport:
@@ -298,34 +380,34 @@ def _run_triage_activated(result, config, triage: TriageConfig, *,
         crash_count=len(crashes),
         repro_dir=triage.repro_dir,
     )
-
-    for digest, (signature, group) in bucket_candidates(divergences).items():
-        record = finished.get(digest)
-        backends = tuple(sorted({c.backend for c in group}))
-        if record is not None and not record.get("crash"):
-            cause = TriageCause.from_dict(record["cause"])
-            # Counts are recomputed from the (identical) campaign data;
-            # the expensive confirmation/shrink/verify state is reused.
-            cause.count = len(group)
-            cause.backends = backends
-            report.reused_causes += 1
-            fresh = False
-        else:
-            cause = _triage_divergence(lab, signature, group, backends,
-                                       triage)
-            fresh = True
-        if triage.repro_dir is not None and cause.model is not None:
-            path = emit_reproducer(cause, triage.repro_dir, lab.config)
-            cause.repro_file = path.name
-            if fresh and triage.self_verify:
-                cause.verified = self_verify(path)
-        if fresh and journal is not None:
-            journal.append({
-                "key": triage_key(digest),
-                "crash": False,
-                "cause": cause.to_dict(),
-            })
-        report.causes.append(cause)
+    with _Verdicts(journal, verifier_width()) as verdicts:
+        for digest, (signature, group) in (
+            bucket_candidates(divergences).items()
+        ):
+            record = finished.get(digest)
+            backends = tuple(sorted({c.backend for c in group}))
+            if record is not None and not record.get("crash"):
+                cause = TriageCause.from_dict(record["cause"])
+                # Counts are recomputed from the (identical) campaign
+                # data; the expensive confirmation/shrink/verify state
+                # is reused.
+                cause.count = len(group)
+                cause.backends = backends
+                report.reused_causes += 1
+                fresh = False
+            else:
+                cause = _triage_divergence(lab, signature, group, backends,
+                                           triage)
+                fresh = True
+            path = None
+            if triage.repro_dir is not None and cause.model is not None:
+                path = emit_reproducer(cause, triage.repro_dir, lab.config)
+                cause.repro_file = path.name
+            if fresh:
+                verdicts.add(digest, cause,
+                             path if triage.self_verify else None)
+            report.causes.append(cause)
+        verdicts.drain()
 
     for digest, (signature, group) in bucket_candidates(crashes).items():
         record = finished.get(digest)

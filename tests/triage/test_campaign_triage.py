@@ -18,7 +18,14 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.triage.engine as engine
 from repro.difftest.runner import CampaignConfig, run_campaign
+from repro.robustness import chaos
+from repro.robustness.checkpoint import (
+    TRIAGE_KEY_PREFIX,
+    CampaignJournal,
+    triage_records,
+)
 from repro.triage import TriageConfig, format_causes
 from repro.triage.candidates import bucket_candidates, collect_divergences
 from repro.triage.lab import TriageLab
@@ -38,6 +45,16 @@ def triage_config():
 
 def repro_files(workdir):
     return sorted((workdir / "repros").glob("*.py"))
+
+
+def journaled_causes(journal_path):
+    """The journal's ``triage::`` records, parsed, in file order."""
+    return [
+        record
+        for record, _reason in CampaignJournal(journal_path).log.read()
+        if record is not None
+        and str(record.get("key", "")).startswith(TRIAGE_KEY_PREFIX)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +139,33 @@ class TestEngineIdentity:
         for seq_file, par_file in zip(seq_repros, par_repros):
             assert par_file.read_bytes() == seq_file.read_bytes()
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_pipelined_verification_is_byte_identical(
+        self, triaged, tmp_path, monkeypatch, width
+    ):
+        """However many reproducer self-checks run while the next bucket
+        is confirmed and shrunk, the Causes section, the reproducer
+        files and the ordered journal records are the same."""
+        sequential, seq_dir = triaged
+        monkeypatch.setattr(engine, "verifier_width", lambda: width)
+        with contextlib.chdir(tmp_path):
+            pipelined = run_campaign(
+                CONFIG,
+                journal_path=tmp_path / "run.jsonl",
+                triage=triage_config(),
+            )
+        assert format_causes(pipelined.triage) == format_causes(
+            sequential.triage
+        )
+        assert [p.read_bytes() for p in repro_files(tmp_path)] == [
+            p.read_bytes() for p in repro_files(seq_dir)
+        ]
+        records = journaled_causes(tmp_path / "run.jsonl")
+        assert records == journaled_causes(seq_dir / "run.jsonl")
+        assert [r["cause"]["verified"] for r in records] == (
+            [True] * len(sequential.triage.causes)
+        )
+
     def test_resume_replays_triage_without_reshrinking(
         self, triaged, monkeypatch
     ):
@@ -156,6 +200,64 @@ class TestEngineIdentity:
         )
         assert resumed.triage.reused_causes == len(resumed.triage.causes)
         assert victim.read_bytes() == source
+
+
+class TestInterruptedTriage:
+    def test_resume_after_interrupt_with_verifiers_in_flight(
+        self, triaged, tmp_path, monkeypatch
+    ):
+        """Triage dies at the third reproducer write while the earlier
+        causes still await their self-check: those verifiers are reaped,
+        no journaled cause lacks its verdict, and ``--resume`` reports
+        byte-identically to an uninterrupted run."""
+        original, _workdir = triaged
+        # Width 1: the first cause settles when the second's verifier
+        # starts; the second is still in flight at the third write.
+        monkeypatch.setattr(engine, "verifier_width", lambda: 1)
+        spawned = []
+        spawn = engine.spawn_verifier
+
+        def tracked_spawn(path):
+            spawned.append(spawn(path))
+            return spawned[-1]
+
+        monkeypatch.setattr(engine, "spawn_verifier", tracked_spawn)
+        write_point = chaos.write_point
+        reproducer_writes = []
+
+        class Interrupted(Exception):
+            pass
+
+        def dying_write_point(site, path=None, data=None):
+            if site == "triage" and str(path).endswith(".py"):
+                reproducer_writes.append(path)
+                if len(reproducer_writes) == 3:
+                    raise Interrupted
+            write_point(site, path, data)
+
+        monkeypatch.setattr(chaos, "write_point", dying_write_point)
+        journal = tmp_path / "run.jsonl"
+        with contextlib.chdir(tmp_path), pytest.raises(Interrupted):
+            run_campaign(CONFIG, journal_path=journal,
+                         triage=triage_config())
+        assert len(spawned) == 2
+        assert all(v.process.returncode is not None for v in spawned)
+        interrupted = journaled_causes(journal)
+        assert len(interrupted) == 1
+        assert interrupted[0]["cause"]["verified"] is True
+
+        monkeypatch.setattr(chaos, "write_point", write_point)
+        with contextlib.chdir(tmp_path):
+            resumed = run_campaign(CONFIG, journal_path=journal,
+                                   resume=True, triage=triage_config())
+        text = format_causes(resumed.triage)
+        assert text == format_causes(original.triage)
+        assert text.count("self-check: asserted") == len(
+            resumed.triage.causes
+        )
+        records = triage_records(CampaignJournal(journal).load())
+        assert len(records) == len(resumed.triage.causes)
+        assert all(r["cause"]["verified"] is True for r in records.values())
 
 
 class TestShrinkProperties:

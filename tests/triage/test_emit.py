@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import ast
+import os
+import time
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +22,8 @@ from repro.triage.emit import (
     emit_reproducer,
     reproducer_filename,
     reproducer_source,
+    self_verify,
+    spawn_verifier,
 )
 from tests.triage.test_signature import SIGNATURE
 
@@ -107,6 +112,42 @@ class TestReproducerSource:
         path.write_text("clobbered", encoding="utf-8")
         emit_reproducer(cause, tmp_path, CONFIG)
         assert path.read_text(encoding="utf-8") == source
+
+
+class TestVerifierCollection:
+    def script(self, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_text("import sys, time\n" + body + "\n", encoding="utf-8")
+        return path
+
+    def test_verdicts_are_collected_in_spawn_order(self, tmp_path):
+        """A slow clean script spawned first does not lend its verdict
+        to the fast asserting one spawned after it."""
+        slow = spawn_verifier(self.script(
+            tmp_path, "slow.py", "time.sleep(0.5)\nsys.exit(0)"))
+        fast = spawn_verifier(self.script(tmp_path, "fast.py", "sys.exit(1)"))
+        assert [self_verify(slow), self_verify(fast)] == [False, True]
+
+    def test_timeout_runs_from_spawn_and_reaps(self, tmp_path):
+        hung = spawn_verifier(
+            self.script(tmp_path, "hung.py", "time.sleep(60)"), timeout=1.0)
+        time.sleep(1.0)
+        started = time.monotonic()
+        assert self_verify(hung) is False
+        assert time.monotonic() - started < 0.9  # no fresh timeout
+        assert hung.process.returncode is not None
+        with pytest.raises(ChildProcessError):  # killed and reaped
+            os.waitpid(hung.process.pid, os.WNOHANG)
+
+    def test_unspawnable_verifier_is_not_asserted(self, tmp_path,
+                                                  monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr("repro.triage.emit.subprocess.Popen", refuse)
+        verifier = spawn_verifier(self.script(tmp_path, "x.py", "pass"))
+        assert verifier.process is None
+        assert self_verify(verifier) is False
 
 
 class TestCausesSection:

@@ -70,36 +70,6 @@ COMPILERS = {
 BACKENDS = {"x86": X86Backend, "arm32": Arm32Backend}
 
 
-def parse_fault_describer_gaps(text: str | None) -> tuple:
-    """Validate ``--fault-describer-gaps`` against the register file.
-
-    The simulator derives its getter table by *set difference* from
-    ``GENERAL_REGISTERS``, so an unknown name used to be silently
-    ignored — ``--fault-describer-gaps R10,RR11`` seeded half the
-    defect and reported nothing.  Unknown names now exit with the
-    valid inventory; repeats are deduped (order-preserving).
-    """
-    from repro.jit.machine.registers import GENERAL_REGISTERS
-
-    gaps: list[str] = []
-    unknown: list[str] = []
-    for chunk in (text or "").split(","):
-        name = chunk.strip()
-        if not name:
-            continue
-        if name not in GENERAL_REGISTERS:
-            unknown.append(name)
-        elif name not in gaps:
-            gaps.append(name)
-    if unknown:
-        raise SystemExit(
-            "--fault-describer-gaps: unknown register name(s) "
-            + ", ".join(repr(name) for name in unknown)
-            + "; valid registers: " + ", ".join(GENERAL_REGISTERS)
-        )
-    return tuple(gaps)
-
-
 def resolve_spec(name: str):
     """Instruction name -> spec (byte-code, primitive, sequence, stitch)."""
     if name.startswith("stitch:"):
@@ -216,7 +186,6 @@ def cmd_campaign(args) -> int:
     if args.stitch and args.sequences:
         raise SystemExit("--stitch and --sequences are mutually exclusive")
     profile = bool(args.profile or args.profile_json)
-    gaps = parse_fault_describer_gaps(args.fault_describer_gaps)
     mutants = ()
     if getattr(args, "mutant", None):
         from repro.mutation import parse_mutants
@@ -233,7 +202,6 @@ def cmd_campaign(args) -> int:
         worker_memory_mb=args.worker_memory_mb,
         worker_cpu_seconds=args.worker_cpu_seconds,
         fail_fast=args.fail_fast,
-        fault_describer_gaps=gaps,
         mutants=mutants,
         profile=profile,
         **stitch_config_kwargs(args),
@@ -681,12 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--repro-dir", default="repros", metavar="DIR",
         help="directory for standalone reproducers emitted by --triage "
              "(default: repros)",
-    )
-    campaign.add_argument(
-        "--fault-describer-gaps", metavar="REGS",
-        help="re-seed the historical fault-describer defect for these "
-             "comma-separated registers (e.g. R10,R11); for fidelity "
-             "benchmarks and triage smoke tests",
     )
     campaign.add_argument(
         "--mutant", action="append", metavar="ID",

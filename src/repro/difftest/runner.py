@@ -166,9 +166,6 @@ class CampaignConfig:
     fail_fast: bool = False
     #: Budget multiplier applied for the single quarantine retry.
     retry_scale: float = 0.5
-    #: Re-seed the historical R10/R11 fault-describer defect (paper
-    #: fidelity benchmarks and fault-injection tests only).
-    fault_describer_gaps: tuple = ()
     #: Active mutant ids from the semantic mutation registry
     #: (``campaign --mutant`` / ``repro mutate``; see docs/MUTATION.md).
     #: Part of the config so the mutated semantics cross the fork
@@ -180,11 +177,6 @@ class CampaignConfig:
     #: Profiling observes counters and wall-clock only; reports stay
     #: byte-identical with it on or off.
     profile: bool = False
-    #: Explore with the from-the-root loop instead of the prefix-sharing
-    #: path tree; ablation only (the equivalence suites and the explorer
-    #: ablation benchmark) — results are identical, the tree is just
-    #: faster.
-    raw_explorer: bool = False
     #: Stitched-corpus budget knobs (``campaign --stitch`` /
     #: ``repro stitch``; docs/STITCHING.md).  Part of the config so the
     #: corpus — a deterministic pure function of these four values — is
@@ -197,12 +189,11 @@ class CampaignConfig:
     def reduced(self) -> "CampaignConfig":
         """The smaller-budget config used for the quarantine retry.
 
-        Only the *budgets* shrink.  The semantic knobs — the seeded
-        describer gaps and the active mutants — are threaded through
-        explicitly: a quarantine retry must re-run the cell under the
-        exact semantics the first attempt saw, or the retry would
-        "fix" a seeded defect by accident (see
-        tests/mutation/test_retry_semantics.py).
+        Only the *budgets* shrink.  The semantic knob — the active
+        mutants — is threaded through explicitly: a quarantine retry
+        must re-run the cell under the exact semantics the first
+        attempt saw, or the retry would "fix" a seeded defect by
+        accident (see tests/mutation/test_retry_semantics.py).
         """
         scale = self.retry_scale
         return replace(
@@ -212,22 +203,18 @@ class CampaignConfig:
             ),
             max_iterations=max(1, int(self.max_iterations * scale)),
             max_sim_steps=max(256, int(self.max_sim_steps * scale)),
-            fault_describer_gaps=self.fault_describer_gaps,
             mutants=self.mutants,
         )
 
 
 def explore_instruction(spec, config: CampaignConfig,
                         deadline=None) -> ExplorationResult:
-    explorer = ConcolicExplorer(
+    return ConcolicExplorer(
         spec,
         max_iterations=config.max_iterations,
         max_paths=config.max_paths_per_instruction,
         deadline=deadline,
-    )
-    if config.raw_explorer:
-        return explorer.explore_raw()
-    return explorer.explore()
+    ).explore()
 
 
 def test_instruction(
@@ -256,7 +243,6 @@ def test_instruction(
                 spec, backend_class(), compiler_class,
                 max_sim_steps=config.max_sim_steps,
                 deadline=deadline,
-                fault_describer_gaps=config.fault_describer_gaps,
             )
         for path in curated:
             if deadline is not None:

@@ -435,12 +435,10 @@ def _budget_signature(config) -> tuple:
         config.max_iterations,
         config.max_sim_steps,
         bool(config.boundary_witnesses),
-        bool(getattr(config, "raw_explorer", False)),
         tuple(
             getattr(backend, "name", str(backend))
             for backend in config.backends
         ),
-        tuple(config.fault_describer_gaps),
     )
 
 

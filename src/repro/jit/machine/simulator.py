@@ -20,11 +20,13 @@ the describer resolves register accessors through a getter table.
 Historically that table was missing entries for R10/R11, so a fault
 raised while addressing through those registers crashed the simulation
 itself — a defect only dynamic testing finds, and exactly the kind the
-paper reports.  The table is now derived from ``GENERAL_REGISTERS`` so
-every register is describable; the defect remains *injectable* through
-the ``fault_describer_gaps`` constructor argument, which the
-paper-fidelity benchmarks and the fault-injection tests use to re-seed
-it deliberately.
+paper reports.  The table is now the class-level
+:attr:`MachineSimulator.describable_registers`, derived from
+``GENERAL_REGISTERS`` so every register is describable.  The defect is
+re-seeded only through the ``R10``/``R11`` registry mutants
+(:mod:`repro.mutation.simulator_ops`), which remove their register from
+that table; the paper-fidelity benchmarks and the fault-injection tests
+run under them.
 """
 
 from __future__ import annotations
@@ -132,8 +134,15 @@ class TrampolineTable:
 class MachineSimulator:
     """A 32-bit register machine sharing the VM heap."""
 
-    def __init__(self, heap, code_cache: CodeCache, trampolines: TrampolineTable,
-                 fault_describer_gaps: tuple = ()):
+    #: The fault describer's reflective getter table: the registers a
+    #: fault description may name as its base.  Derived from the
+    #: register file so no register is accidentally undescribable; the
+    #: R10/R11 mutants remove an entry to re-seed the historical defect
+    #: (the paper's Simulation Error family).
+    describable_registers: frozenset = frozenset(GENERAL_REGISTERS)
+
+    def __init__(self, heap, code_cache: CodeCache,
+                 trampolines: TrampolineTable):
         self.heap = heap
         self.code_cache = code_cache
         self.trampolines = trampolines
@@ -142,16 +151,6 @@ class MachineSimulator:
         self._stack_words = [0] * STACK_WORDS
         self.flags = {"eq": False, "lt": False, "gt": False}
         self.pc = 0
-        # The reflective getter table, derived from the register file so
-        # no register is accidentally undescribable.  ``fault_describer_
-        # gaps`` re-seeds the historical R10/R11 defect on demand (the
-        # paper's Simulation Error family) for fidelity benchmarks and
-        # fault-injection tests.
-        self._fault_getters = {
-            name: name
-            for name in GENERAL_REGISTERS
-            if name not in fault_describer_gaps
-        }
 
     # ------------------------------------------------------------------
     # register access
@@ -173,12 +172,11 @@ class MachineSimulator:
     def _describe_fault(self, instruction, address) -> str:
         base = instruction.b if instruction.b is not None else instruction.a
         if base is not None:
-            getter = self._fault_getters.get(base)
-            if getter is None:
+            if base not in self.describable_registers:
                 raise SimulationError(
                     f"fault describer has no reflective getter for {base}"
                 )
-            base_value = self.get(getter)
+            base_value = self.get(base)
             return (
                 f"{instruction.op} at address {address:#x} "
                 f"(base {base}={base_value:#x})"

@@ -4,16 +4,16 @@ The paper's "Simulation Error" Table 3 family came from two real
 defects: the CPU simulator's reflective fault describer had no getter
 for ``R10`` and ``R11``, so any machine fault whose description needed
 one of those registers crashed the *simulation* instead of producing a
-comparable outcome.  The shipped simulator derives its getter table
-from the register file (the fix), and ``CampaignConfig
-.fault_describer_gaps`` re-seeds the gap on demand.
+comparable outcome.  The shipped simulator derives its getter table,
+:attr:`MachineSimulator.describable_registers`, from the register file
+(the fix).
 
-These two mutants subsume that config knob as named registry entries:
-``R10``/``R11`` wrap :class:`MachineSimulator.__init__` and append
-their register to whatever ``fault_describer_gaps`` the caller passed,
-so a campaign run under mutant ``R10`` is semantically identical to
-one run with ``--fault-describer-gaps R10`` (asserted byte-for-byte by
-``tests/mutation/test_fidelity.py``).
+These two mutants are the one way to re-seed that defect: ``R10`` and
+``R11`` each remove their own register from the live table and put it
+back on undo, so they compose in any order and any nesting, and the
+fully undone table equals the shipped one.  The paper-fidelity
+benchmarks run under both (``tests/mutation/test_fidelity.py`` pins
+the Table 2/Table 3 rows they reproduce).
 """
 
 from __future__ import annotations
@@ -22,22 +22,26 @@ from repro.jit.machine.simulator import MachineSimulator
 from repro.mutation.registry import Mutant, register
 
 
+#: The shipped table.  Once every gap is undone the exact object goes
+#: back, as the registry's reversal contract (checked by identity)
+#: requires.
+_SHIPPED = MachineSimulator.describable_registers
+
+
+def _set_table(table: frozenset) -> None:
+    MachineSimulator.describable_registers = (
+        _SHIPPED if table == _SHIPPED else table
+    )
+
+
 def _install_describer_gap(register_name: str):
     def install():
-        original = MachineSimulator.__init__
-
-        def mutated(self, heap, code_cache, trampolines,
-                    fault_describer_gaps: tuple = ()):
-            gaps = tuple(fault_describer_gaps)
-            if register_name not in gaps:
-                gaps = gaps + (register_name,)
-            original(self, heap, code_cache, trampolines,
-                     fault_describer_gaps=gaps)
-
-        MachineSimulator.__init__ = mutated
+        _set_table(MachineSimulator.describable_registers - {register_name})
 
         def undo():
-            MachineSimulator.__init__ = original
+            _set_table(
+                MachineSimulator.describable_registers | {register_name}
+            )
 
         return undo
 
@@ -48,7 +52,8 @@ for _register_name in ("R10", "R11"):
     register(Mutant(
         id=_register_name,
         family="simulator",
-        target="repro.jit.machine.simulator.MachineSimulator.__init__",
+        target="repro.jit.machine.simulator.MachineSimulator"
+               ".describable_registers",
         description=(
             f"remove the fault describer's reflective getter for "
             f"{_register_name} (the historical defect behind "

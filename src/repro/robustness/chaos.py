@@ -113,7 +113,7 @@ def default_argv(resume: bool = False) -> list[str]:
         "--only", "primitiveFloatTruncated", "--only", "primitiveMod",
         "--only", "pushReceiverVariable0", "--only", "pushReceiverVariable1",
         "--backend", "x86",
-        "--fault-describer-gaps", "R10,R11",
+        "--mutant", "R10", "--mutant", "R11",
         "--triage", "--confirm-runs", "1",
         "--repro-dir", "repros",
         "--journal", "run.jsonl",

@@ -6,13 +6,23 @@ classification, shrunken constraints, minimal model) plus a call into
 dict keys, fixed layout — so re-emitting the same cause (for example
 after ``--resume``) writes byte-identical files.
 
+Every emitted script keeps one exit contract: **1** when the
+divergence reproduces, **0** when it has vanished and **2** when the
+replay itself crashed (the traceback goes to stderr).  The script
+imports the replay machinery inside ``main()``, :func:`repro.triage
+.replay.replay` lets every error through, and the ``__main__`` block
+turns any exception into status 2.  So a crash — an instruction renamed
+since emission, a ``replay`` signature that changed, a model that no
+longer loads — passes neither for Python's own uncaught-exception
+status, which is also 1, nor for a vanished divergence.
+
 Self-verification runs the freshly written file once in a fresh
 ``python`` process with the ``repro`` package on ``PYTHONPATH`` and
 requires the script's divergence-asserted exit status (1).  A
-reproducer that does not fail standalone is reported with
-``self-check: NOT asserted`` rather than silently trusted.  It is split
-into :func:`spawn_verifier`, which starts the process and returns at
-once, and :func:`self_verify`, which collects its verdict, so the
+reproducer that does not fail standalone, or that crashes, is reported
+with ``self-check: NOT asserted`` rather than silently trusted.  It is
+split into :func:`spawn_verifier`, which starts the process and returns
+at once, and :func:`self_verify`, which collects its verdict, so the
 triage engine confirms and shrinks the next cause while earlier
 reproducers are checked (see :mod:`repro.triage.engine`).  The timeout
 runs from spawn; a verifier that exceeds it is killed and reaped, and
@@ -73,34 +83,39 @@ def reproducer_source(cause, config) -> str:
         "",
         "Rebuilds the frame from the minimal model below and runs the",
         "interpreter and the JIT side by side — no campaign machinery.",
-        "Exits 1 when the divergence reproduces, 0 when it has vanished.",
+        "Exits 1 when the divergence reproduces, 0 when it has vanished,",
+        "2 when the replay itself crashes.",
         "",
         "Run with:  PYTHONPATH=src python " + reproducer_filename(signature),
         '"""',
         "",
         "import sys",
-        "",
-        "from repro.triage.replay import replay",
+        "import traceback",
         "",
         f"EXPECT = {_literal(expect)}",
         f"CONSTRAINTS = {_literal(tuple(cause.constraints))}",
         f"MODEL = {_literal(cause.model or {})}",
         f"MAX_SIM_STEPS = {config.max_sim_steps}",
-        f"FAULT_DESCRIBER_GAPS = {_literal(tuple(config.fault_describer_gaps))}",
         f"MUTANTS = {_literal(tuple(getattr(config, 'mutants', ())))}",
         "",
         "",
         "def main() -> int:",
+        "    from repro.triage.replay import replay",
+        "",
         "    verdict = replay(EXPECT, MODEL, CONSTRAINTS,",
         "                     max_sim_steps=MAX_SIM_STEPS,",
-        "                     fault_describer_gaps=FAULT_DESCRIBER_GAPS,",
         "                     mutants=MUTANTS)",
         "    print(verdict.describe())",
         "    return 1 if verdict.reproduced else 0",
         "",
         "",
         'if __name__ == "__main__":',
-        "    sys.exit(main())",
+        "    try:",
+        "        status = main()",
+        "    except Exception:",
+        "        traceback.print_exc()",
+        "        status = 2",
+        "    sys.exit(status)",
     ]
     return "\n".join(lines) + "\n"
 

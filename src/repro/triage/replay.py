@@ -11,7 +11,8 @@ involved — only the harness itself.
 
 Exit-status convention of the generated scripts: **1** when the
 divergence reproduces (mirroring ``repro test``, which exits 1 on
-differing paths), **0** when it has vanished.
+differing paths), **0** when it has vanished, **2** when the replay
+itself crashed (see :mod:`repro.triage.emit`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ReplayVerdict:
 
     reproduced: bool
     expected: dict
-    comparison: object = None
+    comparison: object
 
     def describe(self) -> str:
         expect = self.expected
@@ -62,8 +63,6 @@ class ReplayVerdict:
             f"{expect['backend']}] expecting {expect['category']} "
             f"({expect['cause']})"
         )
-        if self.comparison is None:
-            return f"{head}\n  replay crashed before a verdict"
         observed = self.comparison.describe()
         verdict = (
             "DIVERGENCE REPRODUCED" if self.reproduced
@@ -74,7 +73,6 @@ class ReplayVerdict:
 
 def replay(expect: dict, model_data: dict, constraints, *,
            max_sim_steps: int = 20_000,
-           fault_describer_gaps: tuple = (),
            mutants: tuple = ()) -> ReplayVerdict:
     """One standalone interpreter-vs-JIT execution from recorded data.
 
@@ -90,36 +88,32 @@ def replay(expect: dict, model_data: dict, constraints, *,
         return _replay_activated(
             expect, model_data, constraints,
             max_sim_steps=max_sim_steps,
-            fault_describer_gaps=fault_describer_gaps,
         )
 
 
 def _replay_activated(expect: dict, model_data: dict, constraints, *,
-                      max_sim_steps: int,
-                      fault_describer_gaps: tuple) -> ReplayVerdict:
+                      max_sim_steps: int) -> ReplayVerdict:
     spec = spec_for(expect["kind"], expect["instruction"])
     backend = backend_class_for(expect["backend"])()
     compiler_class = compiler_for(expect["compiler"])
-    try:
-        tester = DifferentialTester(
-            spec, backend, compiler_class,
-            max_sim_steps=max_sim_steps,
-            fault_describer_gaps=tuple(fault_describer_gaps),
-        )
-        model = Model.from_dict(tester.context, model_data)
-        path = PathResult(
-            instruction=spec.name,
-            kind=spec.kind,
-            constraints=[
-                RecordedConstraint(term, taken) for term, taken in constraints
-            ],
-            model=model,
-            exit=None,
-            output=None,
-        )
-        comparison = tester.run_path(path)
-    except Exception:
-        return ReplayVerdict(reproduced=False, expected=expect)
+    # No ``except`` here: a replay that raises must reach the script's
+    # ``__main__`` block and exit 2, not read as a vanished divergence.
+    tester = DifferentialTester(
+        spec, backend, compiler_class,
+        max_sim_steps=max_sim_steps,
+    )
+    model = Model.from_dict(tester.context, model_data)
+    path = PathResult(
+        instruction=spec.name,
+        kind=spec.kind,
+        constraints=[
+            RecordedConstraint(term, taken) for term, taken in constraints
+        ],
+        model=model,
+        exit=None,
+        output=None,
+    )
+    comparison = tester.run_path(path)
     reproduced = False
     if comparison.is_difference:
         defect = classify(comparison)

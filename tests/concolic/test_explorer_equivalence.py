@@ -8,13 +8,12 @@ path signatures *in order*, input models, exit conditions, every
 iteration-independent :class:`ExplorationResult` counter, and the
 curated path sets the differential tester ultimately consumes.  The
 campaign-level tests extend the same guarantee through the campaign:
-``raw_explorer`` reports are byte-identical to the default, at any
-worker count and across a journal resume.
+with ``ConcolicExplorer.explore`` patched to ``explore_raw``, reports
+are byte-identical to the default, at any worker count and across a
+journal resume (the pool forks, so its workers inherit the patch).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +35,6 @@ BYTECODES = testable_bytecodes()
 NATIVES = testable_primitives()
 
 CONFIG = CampaignConfig(max_bytecodes=2, max_natives=1, backends=(X86Backend,))
-RAW_CONFIG = replace(CONFIG, raw_explorer=True)
 
 
 def assert_equivalent(spec, **kwargs):
@@ -99,19 +97,34 @@ class TestCampaignEquivalence:
         """The default (path-tree) sequential campaign."""
         return run_campaign(CONFIG)
 
-    def test_raw_explorer_sequential_matches(self, baseline):
-        raw = run_campaign(RAW_CONFIG)
+    @pytest.fixture
+    def root_loop(self, monkeypatch):
+        """Explore with the from-the-root loop for one test; returns the
+        calls made in this process."""
+        calls = []
+        explore_raw = ConcolicExplorer.explore_raw
+
+        def explore(explorer):
+            calls.append(explorer)
+            return explore_raw(explorer)
+
+        monkeypatch.setattr(ConcolicExplorer, "explore", explore)
+        return calls
+
+    def test_explore_raw_sequential_matches(self, baseline, root_loop):
+        raw = run_campaign(CONFIG)
+        assert root_loop  # the patched loop really ran
         assert format_table2(raw) == format_table2(baseline)
         assert format_table3(raw) == format_table3(baseline)
 
-    def test_raw_explorer_parallel_matches(self, baseline):
-        raw = run_campaign(RAW_CONFIG, jobs=2)
+    def test_explore_raw_parallel_matches(self, baseline, root_loop):
+        raw = run_campaign(CONFIG, jobs=2)
         assert format_table2(raw) == format_table2(baseline)
         assert format_table3(raw) == format_table3(baseline)
 
-    def test_raw_explorer_resume_matches(self, baseline, tmp_path):
+    def test_explore_raw_resume_matches(self, baseline, root_loop, tmp_path):
         journal = tmp_path / "journal.jsonl"
-        run_campaign(RAW_CONFIG, journal_path=journal)
-        resumed = run_campaign(RAW_CONFIG, jobs=2, journal_path=journal,
+        run_campaign(CONFIG, journal_path=journal)
+        resumed = run_campaign(CONFIG, jobs=2, journal_path=journal,
                                resume=True)
         assert format_table2(resumed) == format_table2(baseline)

@@ -21,6 +21,7 @@ from repro.jit.native_templates import NativeMethodCompiler
 from repro.jit.register_allocating import RegisterAllocatingCogit
 from repro.jit.simple_stack import SimpleStackBasedCogit
 from repro.jit.stack_to_register import StackToRegisterCogit
+from repro.mutation import activated
 
 X86_ONLY = CampaignConfig(backends=(X86Backend,))
 
@@ -117,10 +118,9 @@ class TestSeededDefectsAreFound:
     def test_simulation_error_with_seeded_describer_gap(self):
         """With the historical R10/R11 describer defect re-seeded, the
         truncation template's wild access surfaces as simulation_error."""
-        config = CampaignConfig(backends=(X86Backend,),
-                                fault_describer_gaps=("R10", "R11"))
-        result = run("primitiveFloatTruncated", NativeMethodCompiler,
-                     kind="native", config=config)
+        with activated(("R10", "R11")):
+            result = run("primitiveFloatTruncated", NativeMethodCompiler,
+                         kind="native")
         kinds = {d.difference_kind for d in result.differences()}
         assert "simulation_error" in kinds
 

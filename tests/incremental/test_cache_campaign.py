@@ -170,7 +170,7 @@ class TestTriageInterplay:
         # or primitiveMod never makes the plan.
         config = replace(CONFIG, max_bytecodes=0, max_natives=None,
                          only=("primitiveMod",),
-                         fault_describer_gaps=("R10", "R11"))
+                         mutants=("R10", "R11"))
         triage = TriageConfig(confirm_runs=1, repro_dir=None, shrink=False,
                               self_verify=False)
         cold = run_campaign(config, cache_dir=cache_dir, triage=triage)

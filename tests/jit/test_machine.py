@@ -16,6 +16,7 @@ from repro.jit.machine import (
 from repro.jit.machine.isa import label, mi
 from repro.jit.machine.simulator import END_SENTINEL, STACK_TOP
 from repro.memory.heap import Heap
+from repro.mutation import activated
 
 BACKENDS = [X86Backend(), Arm32Backend()]
 
@@ -203,8 +204,9 @@ class TestMemoryAndStack:
         assert "base R10" in outcome.fault_reason
 
     def test_injected_describer_gap_is_simulation_error(self, backend):
-        """The historical R10/R11 defect stays injectable for the
-        fault-injection tests and paper-fidelity benchmarks."""
+        """The historical R10/R11 defect stays injectable through the
+        R10/R11 mutants, for the fault-injection tests and the
+        paper-fidelity benchmarks."""
         instructions = [
             mi("MOV_RI", "R10", imm=0x0DEAD000),
             mi("LOAD", "R0", "R10", imm=0),
@@ -213,12 +215,12 @@ class TestMemoryAndStack:
         heap = Heap(size_words=16)
         cache = CodeCache()
         code = cache.install(instructions, backend)
-        sim = MachineSimulator(heap, cache, TrampolineTable(),
-                               fault_describer_gaps=("R10", "R11"))
+        sim = MachineSimulator(heap, cache, TrampolineTable())
         sim.reset()
         sim._push(END_SENTINEL)
-        with pytest.raises(SimulationError):
-            sim.run(code.base_address)
+        with activated(("R10", "R11")):
+            with pytest.raises(SimulationError):
+                sim.run(code.base_address)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)

@@ -28,7 +28,7 @@ from repro.mutation import (
     parse_mutants,
     register,
 )
-from repro.mutation.registry import _revert
+from repro.mutation.registry import _apply, _revert
 
 #: Every attribute any registered operator touches.  Snapshots of
 #: these are compared *by identity* around an apply/revert cycle.
@@ -40,7 +40,7 @@ PATCH_POINTS = (
     (BytecodeCogit, "gen_bytecodePrimLessThan"),
     (BytecodeCogit, "TMP_B"),
     (StackToRegisterCogit, "gen_flush"),
-    (MachineSimulator, "__init__"),
+    (MachineSimulator, "describable_registers"),
 )
 
 
@@ -169,6 +169,18 @@ class TestActivation:
         with activated(()):
             assert snapshot() == before
             assert active_ids() == ()
+
+    def test_describer_gaps_revert_in_any_order(self):
+        """R10 and R11 each edit the one describer table: reverting
+        them out of nesting order still restores the shipped table."""
+        shipped = MachineSimulator.describable_registers
+        _apply("R10")
+        _apply("R11")
+        assert not {"R10", "R11"} & MachineSimulator.describable_registers
+        _revert("R10")
+        assert MachineSimulator.describable_registers == shipped - {"R11"}
+        _revert("R11")
+        assert MachineSimulator.describable_registers is shipped
 
     def test_unbalanced_revert_raises(self):
         with pytest.raises(RuntimeError, match="not active"):

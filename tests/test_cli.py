@@ -97,7 +97,7 @@ class TestCommands:
         monkeypatch.chdir(tmp_path)
         code = main([
             "campaign", "--only", "primitiveMod", "--backend", "x86",
-            "--fault-describer-gaps", "R10,R11",
+            "--mutant", "R10", "--mutant", "R11",
             "--triage", "--confirm-runs", "1", "--repro-dir", "repros",
         ])
         assert code == 0

@@ -106,6 +106,34 @@ def test_campaign_flag_is_documented(flag):
     )
 
 
+#: The describer-defect knob the R10/R11 mutants replaced, spelled in
+#: two pieces so that a search for it finds only the two mutant
+#: descriptions that still name it as history.
+REMOVED_DESCRIBER_FLAG = "--fault-" + "describer-gaps"
+
+
+def test_removed_describer_flag_is_a_usage_error(capsys):
+    """The describer defect is seeded only with `--mutant R10`/`R11`;
+    the old flag is an unknown argument, not a silent no-op."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", REMOVED_DESCRIBER_FLAG, "R10"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert REMOVED_DESCRIBER_FLAG not in campaign_flags()
+
+
+def test_no_guide_mentions_the_removed_describer_flag():
+    """Only the history (CHANGES.md, ROADMAP.md) names the old flag."""
+    guides = sorted((ROOT / "docs").glob("*.md"))
+    guides += [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
+    for guide in guides:
+        assert REMOVED_DESCRIBER_FLAG not in guide.read_text(
+            encoding="utf-8"
+        ), f"{guide.name} still documents {REMOVED_DESCRIBER_FLAG}"
+
+
 def test_guide_links_are_not_stale():
     """The guide points at sibling docs and tests; keep them existing."""
     root = DOCS.parent.parent
@@ -148,12 +176,16 @@ def test_exploration_guide_introspection_is_not_vacuous():
 
 
 def test_exploration_guide_documents_the_ablation_flag():
-    """The explorer ablation is a config switch, not an operator flag:
-    the campaign CLI has no `--raw-explorer` and the guide documents
-    `CampaignConfig.raw_explorer` instead."""
+    """The campaign-level explorer ablation is a test-side patch, not
+    an operator flag or a config field: the campaign CLI has no
+    `--raw-explorer` and the guide documents the patch instead."""
+    from repro.difftest.runner import CampaignConfig
+
     assert "--raw-explorer" not in campaign_flags()
     assert "--raw-explorer" not in exploration_text()
-    assert "`CampaignConfig.raw_explorer`" in exploration_text()
+    assert not any("raw" in name for name in CampaignConfig.__dataclass_fields__)
+    assert ('monkeypatch.setattr(ConcolicExplorer, "explore", '
+            "ConcolicExplorer.explore_raw)") in exploration_text()
 
 
 @pytest.mark.parametrize("name", exploration_counters())

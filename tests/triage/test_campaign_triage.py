@@ -36,7 +36,7 @@ from repro.triage.shrink import shrink_candidate
 #: describer gap, producing dozens of differing executions from at
 #: most a handful of root causes.
 SCOPE = ("primitiveFloatTruncated", "primitiveMod", "primitiveConstantFill")
-CONFIG = CampaignConfig(only=SCOPE, fault_describer_gaps=("R10", "R11"))
+CONFIG = CampaignConfig(only=SCOPE, mutants=("R10", "R11"))
 
 
 def triage_config():
@@ -275,7 +275,7 @@ class TestShrinkProperties:
                 cause.model,
                 cause.constraints,
                 max_sim_steps=CONFIG.max_sim_steps,
-                fault_describer_gaps=CONFIG.fault_describer_gaps,
+                mutants=CONFIG.mutants,
             )
             assert verdict.reproduced, cause.signature.canonical()
 

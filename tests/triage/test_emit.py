@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import os
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -27,7 +28,7 @@ from repro.triage.emit import (
 )
 from tests.triage.test_signature import SIGNATURE
 
-CONFIG = CampaignConfig(fault_describer_gaps=("R10", "R11"))
+CONFIG = CampaignConfig(mutants=("R10", "R11"))
 
 
 def make_cause(**overrides):
@@ -94,7 +95,7 @@ class TestReproducerSource:
         assert SIGNATURE.digest in source
         assert "'backend': 'x86'" in source
         assert "('is_float(receiver)', True)" in source
-        assert "FAULT_DESCRIBER_GAPS = ('R10', 'R11')" in source
+        assert "MUTANTS = ('R10', 'R11')" in source
         assert "from repro.triage.replay import replay" in source
 
     def test_filename_is_slug_plus_digest(self):
@@ -200,3 +201,43 @@ class TestCausesSection:
         live = TriageReport(causes=[cause], divergence_count=12)
         replayed = TriageReport(causes=[rebuilt], divergence_count=12)
         assert format_causes(replayed) == format_causes(live)
+
+
+#: SIGNATURE with a compiler name replay can resolve, so its reproducer
+#: runs to a verdict (SIGNATURE's own "native" is a display name).
+RUNNABLE = replace(SIGNATURE, compiler="NativeMethodCompiler")
+
+
+def verdict_and_status(path):
+    verifier = spawn_verifier(path)
+    return self_verify(verifier), verifier.process.returncode
+
+
+class TestCrashingReproducer:
+    """A replay that raises exits 2: Python's own status for an uncaught
+    exception is 1, the divergence-reproduced status, and 0 would claim
+    the divergence vanished."""
+
+    @pytest.mark.parametrize("cause", [
+        # Resolved before the replay proper, as for an instruction
+        # renamed since the reproducer was emitted.
+        make_cause(signature=replace(RUNNABLE,
+                                     instruction="primitiveRenamedAway")),
+        make_cause(signature=RUNNABLE,
+                   model={"int_values": "garbage", "kinds": {}}),
+    ], ids=["renamed-instruction", "malformed-model"])
+    def test_crash_is_not_asserted(self, tmp_path, cause):
+        path = emit_reproducer(cause, tmp_path, CONFIG)
+        assert verdict_and_status(path) == (False, 2)
+
+    def test_stale_replay_call_is_not_asserted(self, tmp_path):
+        """The same file asserts its divergence until its ``replay``
+        call goes stale, as for one emitted against an older API."""
+        path = emit_reproducer(make_cause(signature=RUNNABLE), tmp_path, CONFIG)
+        assert verdict_and_status(path) == (True, 1)
+        source = path.read_text(encoding="utf-8")
+        stale = source.replace("mutants=MUTANTS)",
+                               "mutants=MUTANTS, retired_keyword=())")
+        assert stale != source
+        path.write_text(stale, encoding="utf-8")
+        assert verdict_and_status(path) == (False, 2)

@@ -23,6 +23,7 @@ from repro.interpreter.primitives import primitive_named
 from repro.jit.machine.arm32 import Arm32Backend
 from repro.jit.machine.x86 import X86Backend
 from repro.jit.stack_to_register import StackToRegisterCogit
+from repro.mutation import activated
 
 CONFIG = CampaignConfig(backends=(X86Backend,))
 SPEC = BytecodeInstructionSpec(bytecode_named("bytecodePrimAdd"))
@@ -67,6 +68,41 @@ class TestDeterminism:
             runs.add(proc.stdout.strip())
         assert runs == {fingerprint()}
 
+    def test_gapped_describer_table_stable_across_processes(self):
+        """The describer defect leaves a ``frozenset`` on the simulator
+        class, whose iteration order follows the string hash seed; the
+        fingerprint must render it order-free or a warm store would
+        miss every seeded cell in the next process."""
+        script = (
+            "from repro.concolic.explorer import BytecodeInstructionSpec\n"
+            "from repro.bytecode.opcodes import bytecode_named\n"
+            "from repro.difftest.runner import CampaignConfig\n"
+            "from repro.incremental import cell_fingerprint\n"
+            "from repro.jit.machine.x86 import X86Backend\n"
+            "from repro.jit.stack_to_register import StackToRegisterCogit\n"
+            "from repro.mutation import activated\n"
+            "spec = BytecodeInstructionSpec(bytecode_named('bytecodePrimAdd'))\n"
+            "config = CampaignConfig(backends=(X86Backend,))\n"
+            "with activated(('R10', 'R11')):\n"
+            "    print(cell_fingerprint(spec, StackToRegisterCogit, config))\n"
+        )
+        import os
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        runs = set()
+        for seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            runs.add(proc.stdout.strip())
+        with activated(("R10", "R11")):
+            assert runs == {fingerprint()}
+
     def test_plan_fingerprints_cover_every_cell(self):
         from repro.parallel.shard import plan_cells
 
@@ -91,6 +127,18 @@ class TestSensitivity:
     ])
     def test_budget_knobs_invalidate(self, knob):
         assert fingerprint(replace(CONFIG, **knob)) != fingerprint()
+
+    @pytest.mark.parametrize("gaps", [("R10",), ("R11",)])
+    def test_describer_gaps_invalidate(self, gaps):
+        """Seeding the describer defect moves every fingerprint, each
+        gap set to its own hash, and undoing it moves them back."""
+        base = fingerprint()
+        with activated(gaps):
+            gapped = fingerprint()
+            with activated(("R10", "R11")):
+                both = fingerprint()
+        assert len({base, gapped, both}) == 3
+        assert fingerprint() == base
 
     @pytest.mark.parametrize("knob", [
         dict(max_bytecodes=3),

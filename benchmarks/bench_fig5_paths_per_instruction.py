@@ -28,7 +28,8 @@ def test_fig5_paths_per_instruction(benchmark, explorations):
         format_distributions("Paths per instruction (Fig. 5)", distributions),
     )
     write_json_artifact(
-        "fig5_paths_per_instruction", distribution_payload(distributions)
+        "fig5_paths_per_instruction", distribution_payload(distributions),
+        fidelity=True,
     )
 
     bytecode = distributions["bytecode"]

@@ -38,7 +38,7 @@ def test_table2_differences_per_compiler(benchmark, campaign):
     result = benchmark.pedantic(unit, rounds=3, iterations=1)
     assert result.differing_paths > 0  # the missing receiver check
 
-    write_artifact("table2.txt", format_table2(campaign))
+    write_artifact("table2.txt", format_table2(campaign), fidelity=True)
     write_json_artifact(
         "table2_differences",
         {
@@ -53,6 +53,7 @@ def test_table2_differences_per_compiler(benchmark, campaign):
             }
             for report in campaign
         },
+        fidelity=True,
     )
 
     by_name = {report.compiler: report for report in campaign}

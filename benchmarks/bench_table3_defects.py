@@ -39,6 +39,7 @@ def test_table3_defect_families(benchmark, campaign):
         "table3.txt",
         format_table3(campaign) + "\n\nCause inventory:\n"
         + cause_listing(campaign),
+        fidelity=True,
     )
 
     summary = category_summary(comparisons)
@@ -50,6 +51,7 @@ def test_table3_defect_families(benchmark, campaign):
             },
             "total": sum(summary.values()),
         },
+        fidelity=True,
     )
     # Exactly one missing interpreter check: primitiveAsFloat.
     assert summary[DefectCategory.MISSING_INTERPRETER_TYPE_CHECK] == 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.concolic.terms import Term, compiled
+from repro.concolic.terms import Term, fill_slots, slot_program
 from repro.memory.layout import MAX_SMALL_INT, MIN_SMALL_INT, ObjectFormat
 
 
@@ -237,9 +237,10 @@ class Model:
 
     def satisfies(self, literals: list[Term]) -> bool:
         """Check every literal evaluates to True under this model."""
-        env = self.environment()
         try:
-            return all(compiled(literal)(env) for literal in literals)
+            programs = [slot_program(literal) for literal in literals]
+            slots = fill_slots(programs, self.environment())
+            return all(program(slots) for program in programs)
         except Exception:
             return False
 

@@ -34,8 +34,11 @@ from repro.concolic.terms import (
     COMPARISON_OPS,
     KIND_PREDICATES,
     OOP_ATTRIBUTES,
+    EvaluationError,
     Sort,
     Term,
+    fill_slots,
+    slot_program,
 )
 from repro.memory.layout import MAX_SMALL_INT, MIN_SMALL_INT
 
@@ -111,6 +114,33 @@ class _Problem:
     oop_vars: set = field(default_factory=set)
     int_vars: set = field(default_factory=set)
     class_constrained: set = field(default_factory=set)
+    # What every kind assignment's witness search shares, filled once
+    # per solve by :meth:`prepare` (after the identity aliases merge).
+    #: Constants seeding the candidate pools.
+    constants: set = field(default_factory=set)
+    #: Per numeric literal: (slot program, dependency candidates).
+    literal_plans: list = field(default_factory=list)
+    #: Variable bounds -> candidate pool, values converted to the sort.
+    pools: dict = field(default_factory=dict)
+
+    def prepare(self, uf: "_UnionFind", extra_constants) -> None:
+        self.constants = set(extra_constants)
+        for literal in self.numeric_literals:
+            _collect_constants(literal, self.constants)
+        self.literal_plans = [
+            (slot_program(literal), _dependency_candidates(literal, uf))
+            for literal in self.numeric_literals
+        ]
+
+    def pool(self, bounds) -> list:
+        pool = self.pools.get(bounds)
+        if pool is None:
+            convert = float if bounds[0] == "float" else int
+            pool = self.pools[bounds] = [
+                convert(value)
+                for value in _candidate_pool(bounds, self.constants)
+            ]
+        return pool
 
 
 def _scan_vars(term: Term, problem: _Problem) -> None:
@@ -302,16 +332,7 @@ def _free_numeric_vars(problem: _Problem, assignment: _Assignment):
     return free
 
 
-def _store_value(assignment: _Assignment, name: str, value, free) -> None:
-    sort = free[name][0]
-    if sort == "float":
-        target = name[4:] if name.startswith("FV::") else name
-        assignment.float_values[target] = float(value)
-    else:
-        assignment.int_values[name] = int(value)
-
-
-def _candidate_pool(problem: _Problem, name: str, bounds, constants):
+def _candidate_pool(bounds, constants):
     sort, low, high = bounds
     if sort == "float":
         pool = [0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 100.0]
@@ -349,48 +370,80 @@ def _dedupe(pool):
     return unique
 
 
-def _check_literal(literal: Term, env) -> bool:
-    from repro.concolic.terms import EvaluationError, compiled
+#: Evaluation failures that make a literal false rather than an error.
+_FALSE_ON = (EvaluationError, ZeroDivisionError, OverflowError)
 
+
+def _holds(programs, slots) -> bool:
+    """True iff every slot program is truthy over *slots* (in order)."""
     try:
-        return bool(compiled(literal)(env))
-    except EvaluationError:
+        for program in programs:
+            if not program(slots):
+                return False
+    except _FALSE_ON:
         return False
-    except (ZeroDivisionError, OverflowError):
-        return False
+    return True
 
 
-def _literal_dependencies(term: Term, free: dict, uf: _UnionFind) -> set:
-    """Names from *free* that *term*'s evaluation reads."""
-    deps: set = set()
+#: Leaf ops whose slot value *is* the stored witness of the variable
+#: feeding them (``var`` / IV / FV / SC): the search writes the value
+#: into the slot table directly instead of asking the environment.
+_DIRECT_LEAVES = frozenset(
+    {"var", "int_value_of", "float_value_of", "slot_count_of"}
+)
+
+
+def _leaf_feeders(leaf, free: dict, uf: _UnionFind) -> tuple:
+    """The free witness names whose value *leaf*'s slot depends on."""
+    op, payload = leaf
+    if op == "var":
+        names = (payload,)
+    elif op == "int_value_of":
+        names = (f"IV::{uf.find(payload)}",)
+    elif op == "float_value_of":
+        names = (f"FV::{uf.find(payload)}",)
+    elif op == "slot_count_of":
+        names = (f"SC::{uf.find(payload)}",)
+    elif op == "identical":
+        names = tuple(f"IV::{uf.find(name)}" for name in payload)
+    else:
+        names = ()
+    return tuple(name for name in names if name in free)
+
+
+def _dependency_candidates(term: Term, uf: _UnionFind) -> tuple:
+    """Every witness name *term*'s evaluation may read.
+
+    A plain variable reads itself; every OOP attribute is taken to read
+    all three synthetic witnesses of its representative (IV, FV and SC,
+    an over-approximation); an identity reads both sides' IV.  Filtered
+    by the free names of one assignment, these are the literal's
+    dependencies, which fix the variable order and where it is checked.
+    """
+    names: list = []
 
     def walk(node: Term) -> None:
         if node.is_var:
-            if node.args[0] in free:
-                deps.add(node.args[0])
+            names.append(node.args[0])
             return
         if node.op in OOP_ATTRIBUTES:
             name = uf.find(node.args[0].args[0])
-            for synthetic in (f"IV::{name}", f"FV::{name}", f"SC::{name}"):
-                if synthetic in free:
-                    deps.add(synthetic)
+            names.extend((f"IV::{name}", f"FV::{name}", f"SC::{name}"))
             return
         if node.op == "identical":
             for arg in node.args:
-                name = uf.find(arg.args[0])
-                if f"IV::{name}" in free:
-                    deps.add(f"IV::{name}")
+                names.append(f"IV::{uf.find(arg.args[0])}")
             return
         for arg in node.args:
             if isinstance(arg, Term):
                 walk(arg)
 
     walk(term)
-    return deps
+    return tuple(dict.fromkeys(names))
 
 
 def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
-                      budget=None, stats=None, extra_constants=()):
+                      budget=None, stats=None):
     """Witness search over the numeric residual.
 
     ``strategy="backtracking"`` (the default) assigns variables one at
@@ -399,34 +452,54 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
     ``strategy="product"`` is the naive cartesian-product baseline kept
     for the ablation benchmark: it only checks complete assignments.
 
-    ``extra_constants`` seeds the candidate pools beyond the constants
-    occurring in this conjunction — the incremental layer passes the
-    whole path condition's constants when solving an independent slice,
-    so a component solved in isolation sees the same pool it would have
-    seen inside the joint conjunction.
+    Everything that does not depend on the kind assignment (candidate
+    pools, slot programs, dependency candidates) comes prepared on
+    *problem* (:meth:`_Problem.prepare`).
     """
     free = _free_numeric_vars(problem, assignment)
     env = _SearchEnv(problem, assignment, uf)
     dependencies = [
-        (literal, _literal_dependencies(literal, free, uf))
-        for literal in problem.numeric_literals
+        (program, {name for name in candidates if name in free})
+        for program, candidates in problem.literal_plans
     ]
+    # The slot table: every leaf any literal reads, filled once from the
+    # fixed parts of this assignment; witness stores then keep it
+    # current (see ``assign``).
+    slots = fill_slots((program for program, _deps in dependencies), env)
     # Ground literals (no free deps) must hold under the fixed parts.
-    for literal, deps in dependencies:
-        if not deps and not _check_literal(literal, env):
+    for program, deps in dependencies:
+        if not deps and not _holds((program,), slots):
             return False
     if not free:
         return True
-    constants: set = set(extra_constants)
-    for literal in problem.numeric_literals:
-        _collect_constants(literal, constants)
     # Assign most-constrained variables first.
     names = sorted(
         free, key=lambda n: -sum(1 for _, deps in dependencies if n in deps)
     )
-    pools = {
-        name: _candidate_pool(problem, name, free[name], constants) for name in names
-    }
+    pools = {name: problem.pool(free[name]) for name in names}
+    # Per free name: where its witness is stored and which slots it
+    # feeds — written directly, or (identity) re-read through the
+    # environment after the store.
+    feeds = {}
+    for name in names:
+        if free[name][0] == "float":
+            target = name[4:] if name.startswith("FV::") else name
+            feeds[name] = (assignment.float_values, target, [], [])
+        else:
+            feeds[name] = (assignment.int_values, name, [], [])
+    for leaf in slots:
+        for name in _leaf_feeders(leaf, free, uf):
+            feeds[name][2 if leaf[0] in _DIRECT_LEAVES else 3].append(leaf)
+
+    def assign(name, value) -> None:
+        store, key, direct, reread = feeds[name]
+        store[key] = value
+        for leaf in direct:
+            slots[leaf] = value
+        for leaf in reread:
+            slots[leaf] = env(*leaf)
+
+    checked = [program for program, deps in dependencies if deps]
     limit = _MAX_WITNESS_COMBOS
     if budget is not None:
         limit = min(limit, max(0, budget[0]))
@@ -443,8 +516,8 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
                     stats.truncated = True
                 return False
             for name, value in zip(names, combination):
-                _store_value(assignment, name, value, free)
-            if all(_check_literal(lit, env) for lit, deps in dependencies if deps):
+                assign(name, value)
+            if _holds(checked, slots):
                 if budget is not None:
                     budget[0] -= nodes
                 return True
@@ -455,34 +528,53 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
     position = {name: index for index, name in enumerate(names)}
     # literal -> index of the last variable it depends on.
     check_at: dict[int, list] = {index: [] for index in range(len(names))}
-    for literal, deps in dependencies:
+    for program, deps in dependencies:
         if deps:
-            check_at[max(position[name] for name in deps)].append(literal)
-
-    nodes = [0]
+            check_at[max(position[name] for name in deps)].append(program)
+    # One precomputed plan per level: the pool, the store, the slots
+    # the variable feeds and the programs checked at that level.
+    levels = []
+    for index, name in enumerate(names):
+        store, key, direct, reread = feeds[name]
+        levels.append((pools[name], store, key, tuple(direct),
+                       tuple(reread), tuple(check_at[index])))
+    depth = len(levels)
+    nodes = 0
 
     def backtrack(level: int) -> bool:
-        if nodes[0] > limit:
+        nonlocal nodes
+        if nodes > limit:
             return False
-        if level == len(names):
+        if level == depth:
             return True
-        name = names[level]
-        for value in pools[name]:
-            nodes[0] += 1
-            if nodes[0] > limit:
+        pool, store, key, direct, reread, checks = levels[level]
+        for value in pool:
+            nodes += 1
+            if nodes > limit:
                 return False
-            _store_value(assignment, name, value, free)
-            if all(_check_literal(lit, env) for lit in check_at[level]):
-                if backtrack(level + 1):
-                    return True
+            store[key] = value
+            for leaf in direct:
+                slots[leaf] = value
+            for leaf in reread:
+                slots[leaf] = env(*leaf)
+            holds = True  # _holds(checks, slots), inlined: the hot loop
+            try:
+                for program in checks:
+                    if not program(slots):
+                        holds = False
+                        break
+            except _FALSE_ON:
+                holds = False
+            if holds and backtrack(level + 1):
+                return True
         return False
 
     found = backtrack(0)
     if budget is not None:
-        budget[0] -= nodes[0]
+        budget[0] -= nodes
     if found:
         return True
-    if nodes[0] <= limit:
+    if nodes <= limit:
         # Exhaustive failure: backtracking visited the entire candidate
         # pool product (its pruning is sound — a literal false under a
         # partial assignment stays false under every extension), and the
@@ -493,15 +585,15 @@ def _search_witnesses(problem, assignment, uf, rng, strategy="backtracking",
         stats.truncated = True
     # Last resort: random repair for pathological pools.
     for name in names:
-        _store_value(assignment, name, pools[name][0], free)
+        assign(name, pools[name][0])
     for _ in range(_MAX_REPAIR_ITERATIONS):
-        if all(_check_literal(lit, env) for lit, deps in dependencies if deps):
+        if _holds(checked, slots):
             if stats is not None:
                 stats.repair_used = True
             return True
         name = rng.choice(names)
-        _store_value(assignment, name, rng.choice(pools[name]), free)
-    if all(_check_literal(lit, env) for lit, deps in dependencies if deps):
+        assign(name, rng.choice(pools[name]))
+    if _holds(checked, slots):
         if stats is not None:
             stats.repair_used = True
         return True
@@ -542,6 +634,12 @@ def solve_status(
     ``"unknown"`` (not ``"unsat"``) when a search cap truncated the
     decision procedure, so callers can distinguish "no model exists"
     from "ran out of fuel looking".
+
+    ``extra_constants`` seeds the candidate pools beyond the constants
+    occurring in this conjunction — the incremental layer passes the
+    whole path condition's constants when solving an independent slice,
+    so a component solved in isolation sees the same pool it would have
+    seen inside the joint conjunction.
     """
     from repro.robustness.faults import maybe_inject
 
@@ -596,6 +694,7 @@ def solve_status(
             return list(context.default_object_classes)
         return [context.default_object_classes[0]]
 
+    problem.prepare(uf, extra_constants)
     assignments_tried = 0
     for kind_combo in itertools.product(
         *(ordered_kinds[name] for name in representatives)
@@ -637,7 +736,7 @@ def solve_status(
                 stats.nodes = total - node_budget[0]
                 return None, stats
             if not _search_witnesses(problem, assignment, uf, rng, strategy,
-                                     node_budget, stats, extra_constants):
+                                     node_budget, stats):
                 continue
             model = _finalize(problem, assignment, uf)
             if model is not None and model.satisfies(list(literals)):

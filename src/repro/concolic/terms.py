@@ -21,11 +21,21 @@ prefix bookkeeping is rendered once and cached.  The frozen-dataclass
 API is unchanged; equality remains *structural* (terms that cross a
 process boundary via pickle are equal to, but not identical with,
 their interned counterparts).
+
+Evaluation has two forms with one semantics.  :func:`evaluate` walks the
+tree against an environment callable; it is the reference oracle.  The
+solver's hot path runs *slot programs* instead (:func:`slot_program`):
+each interned term is compiled once into one flat Python function that
+reads its leaves from a dict (the *slot table*) and inlines every
+operator, raising :class:`EvaluationError` exactly where
+:func:`evaluate` raises it.
 """
 
 from __future__ import annotations
 
+import builtins
 import enum
+import types
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -70,7 +80,7 @@ def intern_stats() -> tuple[int, int]:
     return _INTERN_HITS, _INTERN_MISSES
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Term:
     """One node of a symbolic expression tree (interned; see module doc)."""
 
@@ -87,17 +97,20 @@ class Term:
             return object.__new__(cls)
         cached = _INTERN_TABLE.get((op, args, sort))
         if cached is not None:
+            # Returned as interned, never re-initialised: equal is not
+            # identical (0.0 and -0.0, 1 and 1.0), and new fields would
+            # disagree with the str, shape and slot program cached from
+            # the old ones.
             _INTERN_HITS += 1
             return cached
         _INTERN_MISSES += 1
         self = object.__new__(cls)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "sort", sort)
+        object.__setattr__(self, "_hash", hash((op, args, sort)))
         _INTERN_TABLE[(op, args, sort)] = self
         return self
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.op, self.args, self.sort))
-        )
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -115,10 +128,10 @@ class Term:
         return self._hash
 
     def __getstate__(self):
-        # Compiled evaluators are closures and cannot cross process
-        # boundaries; the receiver recompiles on first evaluation.
+        # Slot programs are functions and cannot cross process
+        # boundaries; the receiver rebuilds one on first evaluation.
         state = dict(self.__dict__)
-        state.pop("_compiled", None)
+        state.pop("_program", None)
         return state
 
     def __str__(self) -> str:
@@ -291,86 +304,169 @@ class EvaluationError(Exception):
     """The term cannot be evaluated under the given environment."""
 
 
-def _compile(term: Term):
-    """Build a closure computing ``evaluate(term, env)`` for any *env*.
+#: Infix spelling of the operators a slot program inlines unchecked.
+_INFIX = {
+    "add": "+", "sub": "-", "mul": "*", "bitand": "&", "bitor": "|",
+    "bitxor": "^", "fadd": "+", "fsub": "-", "fmul": "*",
+    "lt": "<", "le": "<=", "gt": ">", "ge": ">=", "eq": "==", "ne": "!=",
+}
 
-    The closure network mirrors :func:`evaluate` exactly — same values,
-    same exceptions — but resolves operator dispatch once per distinct
-    term instead of once per evaluation.  Terms are hash-consed, so the
-    compiled form is shared by every conjunction containing the term.
+#: Checked operators: (guard that must hold, expression) over operands
+#: ``a``/``b``; a failed guard is where :func:`evaluate` raises.
+_CHECKED = {
+    "floordiv": ("{b} != 0", "{a} // {b}"),
+    "mod": ("{b} != 0", "{a} % {b}"),
+    "quo": ("not ({b} == 0)",
+            "(-(-{a} // {b}) if ({a} < 0) != ({b} < 0) else {a} // {b})"),
+    "shl": ("0 <= {b} <= 64", "{a} << {b}"),
+    "shr": ("0 <= {b} <= 64", "{a} >> {b}"),
+    "fdiv": ("{b} != 0.0", "{a} / {b}"),
+}
+
+#: Program source -> code object: terms of the same shape (alpha-renamed
+#: components differ only in their leaves) share one compile().
+_CODE_CACHE: dict = {}
+
+
+class _ProgramBuilder:
+    """Emits the straight-line body of one slot program.
+
+    Every inner node gets its own local, assigned in the post-order in
+    which :func:`evaluate` computes it, so values and the point where an
+    :class:`EvaluationError` is raised are exactly :func:`evaluate`'s.
+    Leaves are read from the slot table ``S`` where they are used (a
+    read cannot fail), constants are inlined when their ``repr`` is a
+    literal, and everything term-specific (leaf keys, messages, other
+    constants) is bound as a global so the source depends only on the
+    term's shape.
     """
-    if term.is_const:
-        value = term.args[0]
-        return lambda env: value
-    if term.is_var:
-        name = term.args[0]
-        return lambda env: env("var", name)
-    if term.op in KIND_PREDICATES or term.op in OOP_ATTRIBUTES:
-        inner = term.args[0]
-        if not inner.is_var:
-            message = f"oop predicate over non-variable: {term}"
 
-            def bad_predicate(env, _message=message):
-                raise EvaluationError(_message)
+    def __init__(self):
+        self.lines: list = []
+        self.bindings: dict = {}
+        self.leaves: dict = {}  # leaf -> global name, in first-read order
+        self.temps = 0
 
-            return bad_predicate
-        op, name = term.op, inner.args[0]
-        return lambda env: env(op, name)
-    if term.op == "identical":
-        left, right = term.args
-        if not (left.is_var and right.is_var):
-            message = f"identity over non-variables: {term}"
+    def bind(self, value) -> str:
+        name = f"g{len(self.bindings)}"
+        self.bindings[name] = value
+        return name
 
-            def bad_identity(env, _message=message):
-                raise EvaluationError(_message)
+    def leaf(self, key) -> str:
+        name = self.leaves.get(key)
+        if name is None:
+            name = self.leaves[key] = self.bind(key)
+        return f"S[{name}]"
 
-            return bad_identity
-        pair = (left.args[0], right.args[0])
-        return lambda env: env("identical", pair)
-    if term.op == "not":
-        operand = compiled(term.args[0])
-        return lambda env: not operand(env)
-    if term.op == "neg":
-        operand = compiled(term.args[0])
-        return lambda env: -operand(env)
-    if term.op == "int_to_float":
-        operand = compiled(term.args[0])
-        return lambda env: float(operand(env))
-    operands = tuple(compiled(arg) for arg in term.args)
-    if term.op in _COMPARISONS:
-        fn, (left, right) = _COMPARISONS[term.op], operands
-        return lambda env: fn(left(env), right(env))
-    if term.op in _INT_BINARIES or term.op in _FLOAT_BINARIES:
-        fn = (_INT_BINARIES.get(term.op) or _FLOAT_BINARIES[term.op])
-        left, right = operands
-        message = (
-            f"undefined arithmetic in {term}"
-            if term.op in _INT_BINARIES
-            else f"undefined float arithmetic in {term}"
-        )
+    def constant(self, value) -> str:
+        if type(value) is bool or (
+                type(value) is int and abs(value) < 1 << 64) or (
+                type(value) is float and value - value == 0.0):
+            return f"({value!r})"  # finite: repr is an exact literal
+        return self.bind(value)
 
-        def binary(env, _fn=fn, _left=left, _right=right, _message=message):
-            result = _fn(_left(env), _right(env))
-            if result is None:
-                raise EvaluationError(_message)
-            return result
+    def fail(self, message: str) -> str:
+        self.lines.append(f"raise EvaluationError({self.bind(message)})")
+        return "None"
 
-        return binary
-    message = f"unknown operator {term.op}"
+    def local(self, expression: str) -> str:
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.lines.append(f"{name} = {expression}")
+        return name
 
-    def unknown(env, _message=message):
-        raise EvaluationError(_message)
+    def emit(self, term: Term) -> str:
+        """Emit *term*; returns the atom (local, leaf read or literal)
+        holding its value."""
+        op = term.op
+        if op == "const":
+            return self.constant(term.args[0])
+        if op == "var":
+            return self.leaf(("var", term.args[0]))
+        if op in KIND_PREDICATES or op in OOP_ATTRIBUTES:
+            inner = term.args[0]
+            if not inner.is_var:
+                return self.fail(f"oop predicate over non-variable: {term}")
+            return self.leaf((op, inner.args[0]))
+        if op == "identical":
+            left, right = term.args
+            if not (left.is_var and right.is_var):
+                return self.fail(f"identity over non-variables: {term}")
+            return self.leaf(("identical", (left.args[0], right.args[0])))
+        operands = [self.emit(arg) for arg in term.args]
+        if op == "not":
+            return self.local(f"not {operands[0]}")
+        if op == "neg":
+            return self.local(f"-{operands[0]}")
+        if op == "int_to_float":
+            return self.local(f"float({operands[0]})")
+        if op in _INFIX:
+            left, right = operands
+            return self.local(f"{left} {_INFIX[op]} {right}")
+        if op in _CHECKED:
+            # Both operands are used twice: read each leaf once.
+            left, right = (
+                self.local(operand) if operand.startswith("S[") else operand
+                for operand in operands
+            )
+            guard, expression = _CHECKED[op]
+            message = (
+                f"undefined float arithmetic in {term}"
+                if op == "fdiv"
+                else f"undefined arithmetic in {term}"
+            )
+            self.lines.append(
+                f"if not ({guard.format(a=left, b=right)}): "
+                f"raise EvaluationError({self.bind(message)})"
+            )
+            return self.local(expression.format(a=left, b=right))
+        return self.fail(f"unknown operator {op}")
 
-    return unknown
+
+def _build_program(term: Term):
+    builder = _ProgramBuilder()
+    result = builder.emit(term)
+    source = "\n    ".join(
+        ["def program(S):", *builder.lines, f"return {result}"]
+    )
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        namespace: dict = {}
+        exec(compile(source, "<slot program>", "exec"), namespace)
+        code = _CODE_CACHE[source] = namespace["program"].__code__
+    namespace = {"__builtins__": builtins, "EvaluationError": EvaluationError,
+                 **builder.bindings}
+    program = types.FunctionType(code, namespace, "program")
+    program.leaves = tuple(builder.leaves)
+    return program
 
 
-def compiled(term: Term):
-    """The memoized compiled evaluator of *term* (see :func:`_compile`)."""
-    fn = term.__dict__.get("_compiled")
-    if fn is None:
-        fn = _compile(term)
-        object.__setattr__(term, "_compiled", fn)
-    return fn
+def slot_program(term: Term):
+    """The slot program of *term*, built once and cached on the term.
+
+    A slot program is one flat function ``program(S)`` computing
+    ``evaluate(term, env)`` from a *slot table* ``S``: a dict mapping
+    each leaf the term reads — ``("var", name)``, ``(oop attribute or
+    kind predicate, name)`` or ``("identical", (a, b))`` — to the value
+    ``env(*leaf)`` would answer.  ``program.leaves`` lists those keys.
+    Terms are hash-consed, so one program serves every conjunction that
+    contains the term.
+    """
+    program = term.__dict__.get("_program")
+    if program is None:
+        program = _build_program(term)
+        object.__setattr__(term, "_program", program)
+    return program
+
+
+def fill_slots(programs, env) -> dict:
+    """The slot table of *programs*, each leaf read through *env*."""
+    slots: dict = {}
+    for program in programs:
+        for leaf in program.leaves:
+            if leaf not in slots:
+                slots[leaf] = env(*leaf)
+    return slots
 
 
 def evaluate(term: Term, env) -> object:

@@ -1,12 +1,12 @@
 """The byte-code interpreter.
 
-Each byte-code family has one handler method; dispatch goes through a
-table indexed by opcode.  Handlers are written in the style of the
-paper's Listing 1: they query the object memory through its semantic
-protocol (``are_integers``, ``integer_value_of``, ``is_integer_value``,
-...) and branch on the results.  Because both the values and the memory
-can be concolic stand-ins, the *same code* doubles as the symbolic
-specification during path exploration.
+Each byte-code family has one handler method, ``bc_<family name>``,
+looked up on the interpreter at each step.  Handlers are written in the
+style of the paper's Listing 1: they query the object memory through
+its semantic protocol (``are_integers``, ``integer_value_of``,
+``is_integer_value``, ...) and branch on the results.  Because both the
+values and the memory can be concolic stand-ins, the *same code*
+doubles as the symbolic specification during path exploration.
 
 Two usage modes:
 
@@ -46,20 +46,9 @@ class Interpreter:
         self.symbols = symbols or SymbolTable(memory)
         #: (class_index, selector name) -> CompiledMethod, for full runs.
         self.method_dictionary: dict[tuple[int, str], CompiledMethod] = {}
-        self._handlers = self._build_dispatch_table()
 
     # ------------------------------------------------------------------
     # dispatch
-
-    def _build_dispatch_table(self):
-        handlers = {}
-        for opcode, bytecode in BYTECODE_TABLE.items():
-            name = "bc_" + bytecode.family.name
-            handler = getattr(self, name, None)
-            if handler is None:
-                raise BytecodeError(f"no handler for family {bytecode.family.name}")
-            handlers[opcode] = handler
-        return handlers
 
     def step(self, frame: Frame) -> ExitResult:
         """Execute the instruction at ``frame.pc`` and report its exit.
@@ -81,7 +70,13 @@ class Interpreter:
             raise BytecodeError(f"truncated operands at pc {frame.pc}")
         frame.pc += bytecode.size  # fetchNextBytecode semantics
         try:
-            return self._handlers[opcode](frame, bytecode, operands)
+            # Looked up per step, not cached per instance: a handler
+            # patched on the class (a mutant, a test double) reaches
+            # live interpreters too.  No opcode table is referenced
+            # here, so none enters the cells' semantic fingerprints.
+            return getattr(self, "bc_" + bytecode.family.name)(
+                frame, bytecode, operands
+            )
         except InvalidFrameAccess as error:
             return ExitResult.invalid_frame(str(error))
         except (InvalidMemoryAccess, UntaggedValueError) as error:
@@ -545,3 +540,13 @@ class Interpreter:
     def bc_popIntoTemporaryVariableLong(self, frame, bytecode, operands) -> ExitResult:
         frame.temp_at_put(operands[0], frame.pop())
         return ExitResult.success()
+
+
+# Every byte-code family must have its handler (checked once, at import).
+_UNHANDLED = sorted(
+    family
+    for family in {bytecode.family.name for bytecode in BYTECODE_TABLE.values()}
+    if not callable(getattr(Interpreter, "bc_" + family, None))
+)
+if _UNHANDLED:
+    raise BytecodeError(f"no handler for family {_UNHANDLED[0]}")

@@ -500,6 +500,11 @@ class NativeMethodCompiler:
         ir.load_format(TMP_D, RCVR)
         ir.compare_const(TMP_D, int(ObjectFormat.VARIABLE_POINTERS))
         ir.jump_if("le", pointers)
+        # Heap words are unsigned but registers are signed: a word of
+        # 2^31 or more loads negative and would pass the range check as
+        # a negative SmallInteger, where the interpreter fails it.
+        ir.compare_const(TMP_B, 0)
+        ir.jump_if("lt", self._fail_label)
         self._range_check(TMP_B)
         self._return_tagged(TMP_B)
         ir.label(pointers)

@@ -148,6 +148,21 @@ class TestInterning:
         assert misses_after == misses_before
         assert intern_table_size() == size_before
 
+    def test_equal_constant_does_not_reinitialise_the_interned_term(self):
+        from repro.concolic.terms import fill_slots, slot_program
+
+        # const 2 and const 2.0 of one sort are one term (as are 0.0
+        # and -0.0): the equal but distinguishable value must not
+        # overwrite the fields its str and slot program were built from.
+        first = compare("lt", var("x", Sort.FLOAT), const(2, Sort.FLOAT),
+                        Sort.FLOAT)
+        rendered, program = str(first), slot_program(first)
+        again = compare("lt", var("x", Sort.FLOAT), 2.0, Sort.FLOAT)
+        assert again is first
+        assert first.args[1].args == (2,) and str(first) == rendered
+        env = make_env({("var", "x"): 1.5})
+        assert program(fill_slots((program,), env)) == evaluate(first, env)
+
     def test_pickle_round_trip_stays_structural(self):
         import pickle
 

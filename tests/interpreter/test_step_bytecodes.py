@@ -389,3 +389,23 @@ class TestNop:
         assert vm.interpreter.step(frame).condition == ExitCondition.SUCCESS
         assert frame.stack == [vm.int_oop(1)]
         assert frame.pc == 1
+
+
+class TestDispatch:
+    def test_every_opcode_has_a_handler(self):
+        from repro.bytecode.opcodes import BYTECODE_TABLE
+        from repro.interpreter.interpreter import Interpreter
+
+        for bytecode in BYTECODE_TABLE.values():
+            assert callable(getattr(Interpreter, "bc_" + bytecode.family.name))
+
+    def test_class_patch_reaches_a_live_interpreter(self, vm, monkeypatch):
+        from repro.interpreter.exits import ExitResult
+        from repro.interpreter.interpreter import Interpreter
+
+        frame = make_frame(vm, ["pushTrue"])
+        monkeypatch.setattr(
+            Interpreter, "bc_pushTrue",
+            lambda self, frame, bytecode, operands: ExitResult.failure("patched"),
+        )
+        assert vm.interpreter.step(frame).condition == ExitCondition.FAILURE
